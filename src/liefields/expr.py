@@ -716,6 +716,32 @@ def evaluate_exact(e: Expr, coords: Sequence[Fraction], params: Mapping[int, Fra
     return total
 
 
+def numeric_source(e: Expr, var: str = "X[{}]") -> str:
+    """Python source of a float evaluation of e. ``var.format(i)`` spells
+    coordinate i and ``P[j]`` parameter j; the source needs ``math`` in scope.
+    Every compiled evaluator is emitted here, so all of them do the same
+    float operations in the same order."""
+    parts = []
+    for mon, c in e.terms:
+        bits = [repr(float(c))]
+        for factor, k in mon:
+            tag = factor[0]
+            if tag == _V:
+                b = var.format(factor[1])
+            elif tag == _P:
+                b = f"P[{factor[1]}]"
+            elif tag == _F:
+                b = f"math.{FN_NAMES[factor[1]]}({numeric_source(factor[2], var)})"
+            else:
+                b = f"({numeric_source(factor[1], var)})"
+            if k == 1:
+                bits.append(b)
+            else:
+                bits.append(f"({b})**{k}")
+        parts.append("*".join(bits))
+    return "(" + " + ".join(parts) + ")" if parts else "0.0"
+
+
 def compile_numeric(e: Expr) -> Callable:
     """Compile to a fast float evaluator ``f(coords, params) -> float``.
 
@@ -723,31 +749,7 @@ def compile_numeric(e: Expr) -> Callable:
     interpreting evaluator stays the reference for error reporting.
     """
     ctx = {"math": math}
-
-    def emit(ex: Expr) -> str:
-        parts = []
-        for mon, c in ex.terms:
-            bits = [repr(float(c))]
-            for factor, k in mon:
-                tag = factor[0]
-                if tag == _V:
-                    b = f"X[{factor[1]}]"
-                elif tag == _P:
-                    b = f"P[{factor[1]}]"
-                elif tag == _F:
-                    inner = emit(factor[2])
-                    fname = {LOG: "math.log", EXP: "math.exp", ATAN: "math.atan", SQRT: "math.sqrt"}[factor[1]]
-                    b = f"{fname}({inner})"
-                else:
-                    b = f"({emit(factor[1])})"
-                if k == 1:
-                    bits.append(b)
-                else:
-                    bits.append(f"({b})**{k}")
-            parts.append("*".join(bits))
-        return "(" + " + ".join(parts) + ")" if parts else "0.0"
-
-    src = "def _f(X, P):\n    return " + emit(e)
+    src = "def _f(X, P):\n    return " + numeric_source(e)
     exec(src, ctx)
     raw = ctx["_f"]
 
@@ -923,6 +925,8 @@ class _Parser:
         if self.peek() == "^":
             self.i += 1
             k = self.signed_integer()
+            if k < 0 and a.is_zero:
+                self.error("zero raised to a negative power")
             a = intpow(a, k)
         return a
 
@@ -986,9 +990,10 @@ class _Parser:
             dstart = self.i
             while self.i < len(self.text) and self.text[self.i].isdigit():
                 self.i += 1
-            if self.i == dstart:
+            denominator = int(self.text[dstart : self.i] or 0)
+            if not denominator:
                 self.error("expected positive integer denominator")
-            return const(Fraction(numerator, int(self.text[dstart : self.i])))
+            return const(Fraction(numerator, denominator))
         self.i = save
         return const(Fraction(numerator))
 

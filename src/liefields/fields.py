@@ -66,9 +66,6 @@ class VectorField:
     def is_polynomial(self) -> bool:
         return all(E.is_polynomial(c) for c in self.coeffs)
 
-    def compiled(self):
-        return tuple(E.compile_numeric(c) for c in self.coeffs)
-
 
 def zero_field(dim: int) -> VectorField:
     return VectorField(dim, tuple(E.ZERO for _ in range(dim)))

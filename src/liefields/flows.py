@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import expr as E
@@ -31,30 +32,6 @@ class Trajectory:
     @property
     def endpoint(self):
         return self.samples[-1][1]
-
-
-@dataclass(frozen=True)
-class FlowRequest:
-    field: VectorField
-    start: object            # Point or coordinate sequence
-    t: float
-    method: str = "rk4"      # "lie_series" or "rk4"
-    order: int = 24          # lie_series truncation order, >= 1
-    steps: int = 10000       # rk4 step count, >= 1
-
-    def __post_init__(self):
-        if self.method not in ("lie_series", "rk4"):
-            raise ValueError("method must be 'lie_series' or 'rk4'")
-        if self.order < 1 or self.steps < 1:
-            raise ValueError("order and steps must be >= 1")
-
-
-def run_flow(request: FlowRequest):
-    """Dispatch a FlowRequest; returns the endpoint tuple."""
-    if request.method == "lie_series":
-        point, _ = lie_series_flow(request.field, request.start, request.t, request.order)
-        return point
-    return numeric_flow(request.field, request.start, request.t, request.steps).endpoint
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +97,7 @@ def lie_series_flow(X: VectorField, x0, t: float,
     Returns (endpoint, estimate) with estimate the norm of the last retained
     term; the order is doubled once if the estimate exceeds 1e-10, and a
     growing tail raises DivergenceSuspected."""
-    x0 = F._as_point(x0)
+    x0 = _start_point(X, x0)
     start = [float(v) for v in x0.coords]
 
     def attempt(n_order):
@@ -152,43 +129,73 @@ def lie_series_flow(X: VectorField, x0, t: float,
 # RK4 flow
 
 
+def _start_point(X: VectorField, x0) -> F.Point:
+    x0 = F._as_point(x0)
+    if len(x0.coords) != X.dim:
+        raise F.FieldError(
+            f"the start point needs {X.dim} coordinates, got {len(x0.coords)}")
+    return x0
+
+
+@lru_cache(maxsize=128)
+def _rk4_kernel(X: VectorField, invariants: tuple):
+    """One generated function running the whole fixed-step RK4 loop of X on
+    local variables, tracking the drift of each Expr in invariants:
+    ``kernel(state, P, h, steps, record) -> (samples, drifts)``.
+
+    The stages, the update and the sampling do the float operations of the
+    classical formula in its usual order, ``s + (0.5*h)*k`` and
+    ``s + (h/6)*(((a + 2*b) + 2*c) + d)``, on terms emitted by
+    E.numeric_source, and ``if v > m: m = v`` keeps the drift as ``max(m, v)``
+    does. So results are bit-identical to evaluating each coefficient with
+    E.compile_numeric. Built once per field: the cache size is a constant."""
+    n = X.dim
+
+    def tup(items):
+        return "(" + "".join(f"{v}, " for v in items) + ")"
+
+    ys = [f"y{i}" for i in range(n)]
+    ms = [f"m{k}" for k in range(len(invariants))]
+    body = [f"{tup(ys)} = state"]
+    body += [f"j{k} = {E.numeric_source(J, 'y{}')}" for k, J in enumerate(invariants)]
+    body += [f"{m} = 0.0" for m in ms]
+    body += ["half = 0.5 * h", "sixth = h / 6.0", f"samples = [(0.0, {tup(ys)})]",
+             "for step in range(1, steps + 1):"]
+    loop = []
+    # stage k is evaluated at y (stage a) or z, then z = y + scale * k
+    for k, at, scale in (("a", "y", "half"), ("b", "z", "half"), ("c", "z", "h"), ("d", "z", None)):
+        loop += [f"{k}{i} = {E.numeric_source(c, at + '{}')}" for i, c in enumerate(X.coeffs)]
+        if scale:
+            loop += [f"z{i} = y{i} + {scale} * {k}{i}" for i in range(n)]
+    loop += [f"y{i} = y{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(n)]
+    for k, J in enumerate(invariants):
+        loop += [f"v = abs({E.numeric_source(J, 'y{}')} - j{k})", f"if v > m{k}:", f"    m{k} = v"]
+    loop += ["if record:", f"    samples.append((step * h, {tup(ys)}))"]
+    body += ["    " + line for line in loop]
+    body += ["if not record:", f"    samples.append((steps * h, {tup(ys)}))",
+             f"return samples, {tup(ms)}"]
+    src = "def kernel(state, P, h, steps, record):\n" + "".join(f"    {line}\n" for line in body)
+    ctx = {"math": math}
+    exec(src, ctx)
+    return ctx["kernel"]
+
+
 def numeric_flow(X: VectorField, x0, t: float, steps: int,
                  tracked: Optional[dict] = None, record: bool = False) -> Trajectory:
     """Classical fixed-step fourth-order integration. tracked maps labels to
     Expr invariants whose drift along the trajectory is recorded."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x0 = F._as_point(x0)
+    x0 = _start_point(X, x0)
     params = {k: float(v) for k, v in x0.params.items()}
-    funcs = X.compiled()
-    state = [float(v) for v in x0.coords]
-    h = t / steps
-
-    def rhs(y):
-        return [f(y, params) for f in funcs]
-
     tracked = tracked or {}
-    tracked_fns = {label: E.compile_numeric(body) for label, body in tracked.items()}
-    initial = {label: fn(state, params) for label, fn in tracked_fns.items()}
-    drift = {label: 0.0 for label in tracked_fns}
-    samples = [(0.0, tuple(state))]
-    for step in range(steps):
-        k1 = rhs(state)
-        y2 = [s + 0.5 * h * k for s, k in zip(state, k1)]
-        k2 = rhs(y2)
-        y3 = [s + 0.5 * h * k for s, k in zip(state, k2)]
-        k3 = rhs(y3)
-        y4 = [s + h * k for s, k in zip(state, k3)]
-        k4 = rhs(y4)
-        state = [
-            s + h / 6.0 * (a + 2 * b + 2 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-        ]
-        for label, fn in tracked_fns.items():
-            drift[label] = max(drift[label], abs(fn(state, params) - initial[label]))
-        if record or step == steps - 1:
-            samples.append(((step + 1) * h, tuple(state)))
-    return Trajectory(samples, drift)
+    kernel = _rk4_kernel(X, tuple(tracked.values()))
+    try:
+        samples, drifts = kernel(tuple(float(v) for v in x0.coords), params, t / steps,
+                                 steps, record)
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise E.DomainError(f"numeric evaluation failed: {err}") from err
+    return Trajectory(samples, dict(zip(tracked, drifts)))
 
 
 def one_param_group_law_check(X: VectorField, x0, t1: float, t2: float,

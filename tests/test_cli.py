@@ -1,4 +1,5 @@
 import json
+import pathlib
 import sys
 
 import pytest
@@ -40,6 +41,9 @@ def bad_file(tmp_path):
     return str(path)
 
 
+ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "data" / "algebras"
+
+
 def run(argv, capsys):
     code = cli.run(argv)
     captured = capsys.readouterr()
@@ -56,6 +60,12 @@ class TestBracket:
         code, _, err = run(["bracket", "p", "x++"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_zero_to_negative_power_exit_2(self, capsys):
+        code, out, err = run(["bracket", "p", "0^-1*q"], capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: zero raised to a negative power")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestClosure:
@@ -105,6 +115,14 @@ class TestFlowAndMonodromy:
         rows = csv.read_text().strip().splitlines()
         assert len(rows) == 101
         assert all(len(row.split(",")) == 4 for row in rows)
+
+    @pytest.mark.parametrize("entry", ["ex95-30-4", "ex95-30-7"])
+    def test_flow_start_dimension_mismatch_exit_2(self, entry, capsys):
+        code, out, err = run(
+            ["flow", str(ALGEBRAS / f"{entry}.alg"), "--gen", "1", "--from", "1", "--t", "1"],
+            capsys)
+        assert code == 2 and not out
+        assert err == "error: the start point needs 2 coordinates, got 1\n"
 
     def test_monodromy_rotation(self, euclid_file, capsys):
         code, out, _ = run(

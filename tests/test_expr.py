@@ -37,6 +37,16 @@ class TestParsing:
         e = parse("(x - y)^-1")
         assert E.evaluate_numeric(e, [3.0, 1.0]) == pytest.approx(0.5)
 
+    def test_zero_to_negative_power_rejected(self):
+        for text in ("0^-1", "(x - x)^-2*y"):
+            with pytest.raises(E.ParseError, match="zero raised to a negative power"):
+                parse(text)
+        assert parse("0^0") == E.ONE
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(E.ParseError, match="positive integer denominator"):
+            parse("1/0*x")
+
     def test_whitespace_insignificant(self):
         assert parse("x ^ 2 * y") == parse("x^2*y")
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefields import expr as E, flows as FL
+from liefields import catalog as CAT, expr as E, flows as FL
 from liefields import fields as F
 
 
@@ -66,6 +66,86 @@ class TestNumericFlow:
         X = fld("x^-1*d1", ["x"])
         with pytest.raises(E.DomainError):
             FL.numeric_flow(X, F.Point((0.0,)), 1.0, 10)
+
+    def test_start_point_dimension_checked(self):
+        X = fld("y*p - x*q", V2)
+        with pytest.raises(F.FieldError):
+            FL.numeric_flow(X, F.Point((1.0,)), 1.0, 10)
+        with pytest.raises(F.FieldError):
+            FL.lie_series_flow(X, F.Point((1.0, 0.0, 0.0)), 1.0)
+
+
+def reference_rk4(X, x0, t, steps, tracked=None, record=False):
+    """The classical loop, one compiled evaluator per coefficient: the
+    reference numeric_flow must match bit for bit."""
+    params = {k: float(v) for k, v in x0.params.items()}
+    funcs = [E.compile_numeric(c) for c in X.coeffs]
+    state = [float(v) for v in x0.coords]
+    h = t / steps
+
+    def rhs(y):
+        return [f(y, params) for f in funcs]
+
+    tracked_fns = {label: E.compile_numeric(body) for label, body in (tracked or {}).items()}
+    initial = {label: fn(state, params) for label, fn in tracked_fns.items()}
+    drift = {label: 0.0 for label in tracked_fns}
+    samples = [(0.0, tuple(state))]
+    for step in range(steps):
+        k1 = rhs(state)
+        y2 = [s + 0.5 * h * k for s, k in zip(state, k1)]
+        k2 = rhs(y2)
+        y3 = [s + 0.5 * h * k for s, k in zip(state, k2)]
+        k3 = rhs(y3)
+        y4 = [s + h * k for s, k in zip(state, k3)]
+        k4 = rhs(y4)
+        state = [
+            s + h / 6.0 * (a + 2 * b + 2 * c + d)
+            for s, a, b, c, d in zip(state, k1, k2, k3, k4)
+        ]
+        for label, fn in tracked_fns.items():
+            drift[label] = max(drift[label], abs(fn(state, params) - initial[label]))
+        if record or step == steps - 1:
+            samples.append(((step + 1) * h, tuple(state)))
+    return samples, drift
+
+
+def _catalog_generators():
+    """Every catalog generator at the first parameter sample of its entry."""
+    out = []
+    for entry in CAT.builtin_entries():
+        pv = entry.param_value_maps()[0]
+        for g in entry.presentation().generators:
+            if pv:
+                g = F.VectorField(g.dim, tuple(E.substitute_params(c, pv) for c in g.coeffs))
+            out.append((entry.id, g))
+    return out
+
+
+class TestKernelBitIdentity:
+    """numeric_flow runs one generated kernel per field; its samples and drift
+    must equal the coefficient-by-coefficient loop exactly, not within a
+    tolerance."""
+
+    @pytest.mark.parametrize("points", [1, 2])
+    def test_catalog_generators(self, points):
+        rng = random.Random(11)
+        for eid, g in _catalog_generators():
+            X = g if points == 1 else F.prolong_points(g, 2)
+            start = F.Point(tuple(rng.uniform(-0.5, 0.5) for _ in range(X.dim)))
+            t = rng.uniform(-0.3, 0.3)
+            traj = FL.numeric_flow(X, start, t, 25, record=True)
+            assert (traj.samples, traj.drift) == reference_rk4(X, start, t, 25, record=True), eid
+
+    def test_tracked_invariant(self):
+        entry = CAT.entry_by_id("ex94-24")
+        J = entry.parsed_invariants()[0].body
+        X = F.prolong_points(entry.presentation().generators[4], 2)
+        start = F.Point((0.1, -0.2, 0.05, 0.3, 0.25, -0.1))
+        tracked = {"J": J}
+        expected = reference_rk4(X, start, 0.4, 200, tracked=tracked, record=True)
+        traj = FL.numeric_flow(X, start, 0.4, 200, tracked=tracked, record=True)
+        assert (traj.samples, traj.drift) == expected
+        assert traj.drift["J"] > 0.0
 
 
 class TestGroupLaw:
@@ -146,6 +226,15 @@ class TestCompleteSystemSolve:
 
 
 class TestMonodromy:
+    def test_one_kernel_per_field(self):
+        X = F.parse_field("y*p - x*q", V2)
+        FL._rk4_kernel.cache_clear()
+        period, _ = FL.monodromy_period(X, F.Point((1.0, 0.5)), t_max=8.0,
+                                        steps=4000, seed=0)
+        assert period is not None
+        info = FL._rk4_kernel.cache_info()
+        assert info.misses == 1 and info.hits > 0
+
     def test_circle_period(self):
         period, _ = FL.monodromy_period(fld("y*p - x*q", V2), F.Point((1.0, 0.5)),
                                         t_max=10.0, steps=20000, seed=3)
