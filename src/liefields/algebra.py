@@ -162,16 +162,17 @@ def verify_structure(C: StructureConstants) -> bool:
                 total = E.add(C.c[j][k][s], C.c[k][j][s])
                 if E.is_identically_zero(total) is not E.Zeroness.YES:
                     return False
+    # only nonzero products enter the sums: most constants are zero
+    support = [[[s for s in range(r) if C.c[j][k][s]] for k in range(r)] for j in range(r)]
     for j in range(r):
         for k in range(r):
             for l in range(r):
                 for t in range(r):
-                    acc = E.ZERO
-                    for s in range(r):
-                        acc = E.add(acc, E.mul(C.c[k][l][s], C.c[j][s][t]))
-                        acc = E.add(acc, E.mul(C.c[j][k][s], C.c[l][s][t]))
-                        acc = E.add(acc, E.mul(C.c[l][j][s], C.c[k][s][t]))
-                    if E.is_identically_zero(acc) is not E.Zeroness.YES:
+                    acc = E.add_many(
+                        E.mul(C.c[a][b][s], C.c[d][s][t])
+                        for a, b, d in ((k, l, j), (j, k, l), (l, j, k))
+                        for s in support[a][b] if C.c[d][s][t])
+                    if acc and E.is_identically_zero(acc) is not E.Zeroness.YES:
                         return False
     return True
 
@@ -272,14 +273,10 @@ def _linear_isotropy_matrices(vanishing: Sequence[VectorField], coords, param_va
 def _reduced_basis(linear_mats, n):
     out = [F.coordinate_field(n, i) for i in range(n)]
     for J in linear_mats:
-        coeffs = []
-        for nu in range(n):
-            acc = E.ZERO
-            for mu in range(n):
-                if not J[nu][mu].is_zero:
-                    acc = E.add(acc, E.mul(J[nu][mu], E.var(mu)))
-            coeffs.append(acc)
-        out.append(VectorField(n, tuple(coeffs)))
+        coeffs = tuple(
+            E.add_many(E.mul(J[nu][mu], E.var(mu)) for mu in range(n) if not J[nu][mu].is_zero)
+            for nu in range(n))
+        out.append(VectorField(n, coeffs))
     return out
 
 
@@ -317,7 +314,7 @@ def reduced_algebra(L: LieAlgebraPresentation, base, param_values=None,
 
 
 def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
-                          param_values=None, sample_log: dict | None = None) -> int:
+                          param_values=None) -> int:
     """s*dim minus the generic rank of the point-prolonged generators, sampled
     at jointly generic configurations (no two points sharing any coordinate)."""
     if s < 1:
@@ -333,8 +330,7 @@ def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
         return True
 
     rank = F.generic_rank(prolonged, seed=seed, param_values=param_values,
-                          point_filter=mutually_generic if s > 1 else None,
-                          sample_log=sample_log)
+                          point_filter=mutually_generic if s > 1 else None)
     return s * n - rank
 
 

@@ -53,11 +53,28 @@ def _parse_param_overrides(pairs, params):
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="liefields")
-    common = argparse.ArgumentParser(add_help=False)
+    parser = _Parser(prog="liefields")
+    common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the sampling seed")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_parser(name, **kwargs):
         return sub.add_parser(name, parents=[common], **kwargs)
@@ -72,13 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     inv = add_parser("invariants", help="count of joint invariants of s points")
     inv.add_argument("file")
-    inv.add_argument("--points", type=int, default=2)
+    inv.add_argument("--points", type=_positive_int, default=2)
     inv.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     v = add_parser("verify", help="verdict for a joint-invariant candidate")
     v.add_argument("file")
     v.add_argument("--invariant", required=True)
-    v.add_argument("--points", type=int, default=2)
+    v.add_argument("--points", type=_positive_int, default=2)
     v.add_argument("--mode", choices=["symbolic", "numeric"], default="symbolic")
     v.add_argument("--param", action="append", metavar="NAME=VALUE")
 
@@ -87,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--gen", type=int, required=True, help="1-based generator index")
     fl.add_argument("--from", dest="start", required=True, metavar="PT")
     fl.add_argument("--t", type=float, required=True)
-    fl.add_argument("--steps", type=int, default=10000)
+    fl.add_argument("--steps", type=_positive_int, default=10000)
     fl.add_argument("--param", action="append", metavar="NAME=VALUE")
     fl.add_argument("--csv", help="write the trajectory as CSV (t, x1, ..., xn)")
 
@@ -96,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--gen-combo", required=True, metavar="c1,...,cr")
     mo.add_argument("--from", dest="start", required=True, metavar="PT")
     mo.add_argument("--t-max", type=float, default=20.0)
-    mo.add_argument("--steps", type=int, default=20000)
+    mo.add_argument("--steps", type=_positive_int, default=20000)
     mo.add_argument("--tol", type=float, default=1e-6)
     mo.add_argument("--param", action="append", metavar="NAME=VALUE")
 

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 LOG, EXP, ATAN, SQRT = range(4)
 FN_NAMES = {LOG: "log", EXP: "exp", ATAN: "atan", SQRT: "sqrt"}
@@ -206,6 +206,21 @@ def add(a: Expr, b: Expr) -> Expr:
     return _make(acc)
 
 
+def add_many(exprs: Iterable[Expr]) -> Expr:
+    """Sum of any number of expressions, canonicalised once. Folding `add`
+    over N pieces re-sorts the running sum N times; this sorts it once, and
+    canonical forms are unique, so the result is the same."""
+    return _sum_terms(e.terms for e in exprs)
+
+
+def _sum_terms(term_groups) -> Expr:
+    acc: dict = {}
+    for terms in term_groups:
+        for m, c in terms:
+            acc[m] = acc.get(m, 0) + c
+    return _make(acc)
+
+
 def neg(a: Expr) -> Expr:
     return Expr(tuple((m, -c) for m, c in a.terms))
 
@@ -248,10 +263,9 @@ def mul(a: Expr, b: Expr) -> Expr:
                     acc[mon] = nc
                 else:
                     acc.pop(mon, None)
-    out = _make(acc)
-    for piece in pending:
-        out = add(out, piece)
-    return out
+    if pending:
+        return _sum_terms([acc.items()] + [piece.terms for piece in pending])
+    return _make(acc)
 
 
 def intpow(a: Expr, k: int) -> Expr:
@@ -411,7 +425,7 @@ def _dfactor(factor, v: int) -> Expr:
 
 @lru_cache(maxsize=200000)
 def differentiate(e: Expr, v: int) -> Expr:
-    out = ZERO
+    pieces = []
     for mon, c in e.terms:
         for idx, (factor, ex) in enumerate(mon):
             df = _dfactor(factor, v)
@@ -427,12 +441,12 @@ def differentiate(e: Expr, v: int) -> Expr:
             piece = mul(Expr(((mon2, c * ex),)), df)
             for base, k in overflow:
                 piece = mul(piece, intpow(base, k))
-            out = add(out, piece)
-    return out
+            pieces.append(piece)
+    return add_many(pieces)
 
 
 def substitute_vars(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
-    out = ZERO
+    pieces = []
     for mon, c in e.terms:
         piece = const(c)
         for factor, ex in mon:
@@ -450,13 +464,18 @@ def substitute_vars(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
                 piece = mul(piece, Expr(((((factor, ex),), Fraction(1)),)))
                 continue
             piece = mul(piece, intpow(rep, ex))
-        out = add(out, piece)
-    return out
+        pieces.append(piece)
+    return add_many(pieces)
 
 
 def substitute_params(e: Expr, mapping: Mapping[int, "Expr | Fraction | int"]) -> Expr:
-    out = ZERO
+    """A monomial that uses no mapped parameter passes through untouched."""
+    untouched = []
+    pieces = []
     for mon, c in e.terms:
+        if not _uses_params(mon, mapping):
+            untouched.append((mon, c))
+            continue
         piece = const(c)
         for factor, ex in mon:
             tag = factor[0]
@@ -470,8 +489,23 @@ def substitute_params(e: Expr, mapping: Mapping[int, "Expr | Fraction | int"]) -
                 piece = mul(piece, Expr(((((factor, ex),), Fraction(1)),)))
                 continue
             piece = mul(piece, intpow(rep, ex))
-        out = add(out, piece)
-    return out
+        pieces.append(piece.terms)
+    if not pieces:
+        return e
+    return _sum_terms([untouched] + pieces)
+
+
+def _uses_params(mon, mapping) -> bool:
+    for factor, _ex in mon:
+        tag = factor[0]
+        if tag == _P:
+            if factor[1] in mapping:
+                return True
+        elif tag == _F and not used_params(factor[2]).isdisjoint(mapping):
+            return True
+        elif tag == _Q and not used_params(factor[1]).isdisjoint(mapping):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -554,23 +588,13 @@ def used_params(e: Expr) -> set:
     return out
 
 
-def poly_degree(e: Expr) -> int:
-    """Total degree in the variables; polynomial expressions only."""
-    if not is_polynomial(e):
-        raise NonPolynomialError("degree of non-polynomial expression")
-    deg = 0
-    for mon, _ in e.terms:
-        deg = max(deg, sum(ex for f, ex in mon if f[0] == _V))
-    return deg
-
-
 def poly_coefficients(e: Expr, nvars: int) -> dict:
     """Map variable-exponent tuples -> coefficient Expr in the parameters.
 
     Requires an expression polynomial in the variables (parameters may appear
     in inverted blocks as long as no variable does).
     """
-    out: dict = {}
+    groups: dict = {}
     for mon, c in e.terms:
         vexp = [0] * nvars
         restmon = []
@@ -585,9 +609,8 @@ def poly_coefficients(e: Expr, nvars: int) -> dict:
                 if factor[0] == _Q and used_vars(factor[1]):
                     raise NonPolynomialError("inverted block involving variables")
                 restmon.append((factor, ex))
-        key = tuple(vexp)
-        piece = Expr(((tuple(restmon), c),))
-        out[key] = add(out.get(key, ZERO), piece)
+        groups.setdefault(tuple(vexp), []).append((tuple(restmon), c))
+    out = {k: _sum_terms([terms]) for k, terms in groups.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -900,18 +923,17 @@ class _Parser:
             self.i += 1
             negate = True
         e = self.term()
-        if negate:
-            e = neg(e)
+        terms = [neg(e) if negate else e]
         while True:
             c = self.peek()
             if c == "+":
                 self.i += 1
-                e = add(e, self.term())
+                terms.append(self.term())
             elif c == "-":
                 self.i += 1
-                e = add(e, neg(self.term()))
+                terms.append(neg(self.term()))
             else:
-                return e
+                return terms[0] if len(terms) == 1 else add_many(terms)
 
     def term(self) -> Expr:
         e = self.factor()

@@ -76,14 +76,14 @@ def coordinate_field(dim: int, i: int) -> VectorField:
 
 
 def apply_to_function(X: VectorField, f: E.Expr) -> E.Expr:
-    out = E.ZERO
+    pieces = []
     for i, xi in enumerate(X.coeffs):
         if xi.is_zero:
             continue
         df = E.differentiate(f, i)
         if not df.is_zero:
-            out = E.add(out, E.mul(xi, df))
-    return out
+            pieces.append(E.mul(xi, df))
+    return E.add_many(pieces)
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -147,7 +147,7 @@ def sample_point(dim: int, rng: random.Random):
 
 def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
                  param_values: Mapping[int, Fraction] | None = None,
-                 point_filter=None, sample_log: dict | None = None) -> int:
+                 point_filter=None) -> int:
     """Maximum exact rank of the coefficient matrix over `points` random
     rational points. Parameters are sampled as random non-special rationals
     unless pinned through param_values. Deterministic for a given seed."""
@@ -165,8 +165,6 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         attempts += 1
         coords = sample_point(dim, rng)
         if point_filter is not None and not point_filter(coords):
-            if sample_log is not None:
-                sample_log["rejected"] = sample_log.get("rejected", 0) + 1
             continue
         params = dict(param_values or {})
         for j in pidx:
@@ -174,8 +172,6 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         try:
             matrix = [evaluate_exact_at(f, coords, params) for f in fields]
         except E.DomainError:
-            if sample_log is not None:
-                sample_log["rejected"] = sample_log.get("rejected", 0) + 1
             continue
         found += 1
         best = max(best, exactla.rank(matrix))
@@ -231,7 +227,7 @@ def truncate_to_linear(X: VectorField, base) -> VectorField:
         if not E.is_polynomial(c):
             raise E.NonPolynomialError("truncate_to_linear needs polynomial coefficients")
         shifted = E.substitute_vars(c, shift)
-        acc = E.ZERO
+        pieces = []
         for expo, val in E.poly_coefficients(shifted, X.dim).items():
             if sum(expo) > 1:
                 continue
@@ -239,8 +235,8 @@ def truncate_to_linear(X: VectorField, base) -> VectorField:
             for i, e in enumerate(expo):
                 if e:
                     piece = E.mul(piece, E.add(E.var(i), E.const(-coords[i])))
-            acc = E.add(acc, piece)
-        out.append(acc)
+            pieces.append(piece)
+        out.append(E.add_many(pieces))
     return VectorField(X.dim, tuple(out))
 
 
@@ -280,12 +276,12 @@ def prolong_differentials(X: VectorField) -> VectorField:
     n = X.dim
     coeffs = list(X.coeffs)
     for nu in range(n):
-        acc = E.ZERO
+        pieces = []
         for tau in range(n):
             d = E.differentiate(X.coeffs[nu], tau)
             if not d.is_zero:
-                acc = E.add(acc, E.mul(d, E.var(n + tau)))
-        coeffs.append(acc)
+                pieces.append(E.mul(d, E.var(n + tau)))
+        coeffs.append(E.add_many(pieces))
     return VectorField(2 * n, tuple(coeffs))
 
 
@@ -317,11 +313,6 @@ def span_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
     rb = exactla.rank(both[len(a):])
     rab = exactla.rank(both)
     return ra == rb == rab
-
-
-def in_span(f: VectorField, basis: Sequence[VectorField]) -> bool:
-    both, _ = _span_matrix(list(basis) + [f])
-    return exactla.rank(both) == exactla.rank(both[: len(basis)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +358,7 @@ def parse_field(text: str, vars: Sequence[str], params: Sequence[str] = ()) -> V
     if aliases != tokens:
         text = _replace_idents(text, dict(zip(aliases, tokens)))
     e = E.parse_expression(text, ext_vars, params)
-    coeffs = [E.ZERO] * dim
+    pieces = [[] for _ in range(dim)]
     for mon, c in e.terms:
         token_index = None
         stripped = []
@@ -383,8 +374,8 @@ def parse_field(text: str, vars: Sequence[str], params: Sequence[str] = ()) -> V
         piece = E.Expr(((tuple(stripped), c),))
         if E.used_vars(piece) and max(E.used_vars(piece)) >= dim:
             raise FieldError("basis token nested inside a function node")
-        coeffs[token_index] = E.add(coeffs[token_index], piece)
-    return VectorField(dim, tuple(coeffs))
+        pieces[token_index].append(piece)
+    return VectorField(dim, tuple(E.add_many(p) for p in pieces))
 
 
 def field_to_string(X: VectorField, vars: Sequence[str], params: Sequence[str] = ()) -> str:

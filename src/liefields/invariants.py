@@ -234,11 +234,11 @@ def lie_derivative_quadratic_form(X: VectorField, g: QuadraticForm) -> Quadratic
     for i in range(n):
         row = []
         for j in range(n):
-            acc = F.apply_to_function(X, g.entries[i][j])
+            pieces = [F.apply_to_function(X, g.entries[i][j])]
             for k in range(n):
-                acc = E.add(acc, E.mul(g.entries[k][j], E.differentiate(X.coeffs[k], i)))
-                acc = E.add(acc, E.mul(g.entries[i][k], E.differentiate(X.coeffs[k], j)))
-            row.append(acc)
+                pieces.append(E.mul(g.entries[k][j], E.differentiate(X.coeffs[k], i)))
+                pieces.append(E.mul(g.entries[i][k], E.differentiate(X.coeffs[k], j)))
+            row.append(E.add_many(pieces))
         rows.append(tuple(row))
     return QuadraticForm(n, tuple(rows))
 
@@ -248,11 +248,14 @@ def lie_derivative_quadratic_form(X: VectorField, g: QuadraticForm) -> Quadratic
 
 
 def _gradient_rank(bodies: Sequence[E.Expr], nvars: int, seed: int, params=None) -> int:
-    """Number of functionally independent expressions: rank of the gradient
-    matrix at 8 random configurations; exact when the gradients are rational,
-    numeric SVD with a 1e-8 singular-value threshold otherwise."""
+    """Number of functionally independent expressions: the largest rank of
+    the gradient matrix at up to 8 random configurations; exact when the
+    gradients are rational, numeric SVD with a 1e-8 singular-value threshold
+    otherwise. Sampling stops once the rank reaches min(rows, cols), which no
+    further configuration can exceed."""
     grads = [[E.differentiate(b, v) for v in range(nvars)] for b in bodies]
     exact = all(not E.contains_fn(d) for row in grads for d in row)
+    ceiling = min(len(bodies), nvars)
     rng = random.Random(seed)
     best = 0
     configs = 0
@@ -280,6 +283,8 @@ def _gradient_rank(bodies: Sequence[E.Expr], nvars: int, seed: int, params=None)
             sv = np.linalg.svd(matrix / scale, compute_uv=False)
             best = max(best, int(np.sum(sv > _NUM_TOL)))
         configs += 1
+        if best == ceiling:
+            break
     if configs == 0:
         raise DomainExhausted("no admissible configuration for gradient rank")
     return best

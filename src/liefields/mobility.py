@@ -83,39 +83,6 @@ def _zero_block_diagonalizable(M) -> bool:
     return _mat_rank(M) == _mat_rank(M2)
 
 
-def _is_diagonalizable_real(M, eigs) -> bool:
-    """Crude exact check used only for real-spectrum matrices: for each
-    (numerically clustered) eigenvalue, compare rank(M - span) with rank of
-    its square. Rational eigenvalues are handled exactly, others through a
-    float rank with tolerance."""
-    n = len(M)
-    clusters = []
-    for lam in sorted(eigs, key=lambda z: z.real):
-        for c in clusters:
-            if abs(lam - c[0]) < 1e-7 * max(1.0, abs(lam)):
-                c[1] += 1
-                break
-        else:
-            clusters.append([lam, 1])
-    for lam, mult in clusters:
-        if mult == 1:
-            continue
-        frac = Fraction(lam.real).limit_denominator(10**6)
-        if abs(float(frac) - lam.real) < 1e-9:
-            shifted = [[Fraction(v) - (frac if i == j else 0) for j, v in enumerate(row)]
-                       for i, row in enumerate(M)]
-            sq = _mat_mul(shifted, shifted)
-            if _mat_rank(shifted) != _mat_rank(sq):
-                return False
-        else:
-            arr = np.array([[float(v) for v in row] for row in M]) - lam.real * np.eye(n)
-            r1 = np.linalg.matrix_rank(arr, tol=1e-8)
-            r2 = np.linalg.matrix_rank(arr @ arr, tol=1e-8)
-            if r1 != r2:
-                return False
-    return True
-
-
 def _commensurable(omegas: Sequence[float]):
     """Fundamental angular frequency when all omegas are rational multiples of
     each other with denominators up to 64, else None."""

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefields import algebra as A, exactla, expr as E
+from liefields import algebra as A, catalog as CAT, exactla, expr as E
 from liefields import fields as F
 
 
@@ -59,6 +59,63 @@ class TestStructureVerification:
         table[3][4][5] = E.neg(table[3][4][5])  # only one side flipped
         broken = A.StructureConstants(6, tuple(tuple(tuple(r) for r in p) for p in table))
         assert not A.verify_structure(broken)
+
+
+def dense_quadratic_relations(C):
+    """Reference: every quadratic relation summed over all s, zeros included."""
+    r = C.order
+    for j in range(r):
+        for k in range(r):
+            for l in range(r):
+                for t in range(r):
+                    acc = E.ZERO
+                    for s in range(r):
+                        acc = E.add(acc, E.mul(C.c[k][l][s], C.c[j][s][t]))
+                        acc = E.add(acc, E.mul(C.c[j][k][s], C.c[l][s][t]))
+                        acc = E.add(acc, E.mul(C.c[l][j][s], C.c[k][s][t]))
+                    if E.is_identically_zero(acc) is not E.Zeroness.YES:
+                        return False
+    return True
+
+
+def shifted_constants(C, j, k, s):
+    """C with 1 added to c_jk^s and c_kj^s kept its negative: still
+    antisymmetric, so only the quadratic relations can reject it."""
+    table = [[list(C.c[a][b]) for b in range(C.order)] for a in range(C.order)]
+    table[j][k][s] = E.add(table[j][k][s], E.ONE)
+    table[k][j][s] = E.neg(table[j][k][s])
+    return A.StructureConstants(C.order, tuple(tuple(tuple(r) for r in p) for p in table))
+
+
+class TestJacobi:
+    def test_antisymmetric_corruption_rejected(self, euclid):
+        # [p, q] = r breaks Jacobi for p, q and the rotation x q - y p
+        broken = shifted_constants(A.check_closure(euclid), 0, 1, 2)
+        assert not A.verify_structure(broken)
+        assert not dense_quadratic_relations(broken)
+
+    def test_sparse_sums_agree_with_dense(self, euclid):
+        C = A.check_closure(euclid)
+        verdicts = []
+        for j, k, s in [(0, 1, 2), (0, 1, 0), (3, 4, 5), (0, 3, 1), (3, 4, 0), (1, 2, 0)]:
+            broken = shifted_constants(C, j, k, s)
+            verdicts.append(A.verify_structure(broken))
+            assert verdicts[-1] == dense_quadratic_relations(broken), (j, k, s)
+        assert False in verdicts
+
+    def test_sparse_sums_agree_with_dense_across_catalog(self):
+        verdicts = []
+        for entry in CAT.builtin_entries():
+            try:
+                C = A.check_closure(entry.presentation())
+            except A.NotClosedError:
+                continue
+            if C.order < 2:
+                continue
+            broken = shifted_constants(C, 0, 1, C.order - 1)
+            verdicts.append(A.verify_structure(broken))
+            assert verdicts[-1] == dense_quadratic_relations(broken), entry.id
+        assert (len(verdicts), verdicts.count(False)) == (29, 26)
 
 
 class TestTransitivity:

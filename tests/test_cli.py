@@ -132,6 +132,37 @@ class TestFlowAndMonodromy:
         assert out.startswith("period 6.28318530718")
 
 
+class TestUsageErrors:
+    """Counts below 1 are usage errors: exit 2 with one line, before any work."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["flow", "{f}", "--gen", "1", "--from", "0,0,0", "--t", "1", "--steps", "0"],
+         "error: argument --steps: must be >= 1, got 0\n"),
+        (["monodromy", "{f}", "--gen-combo", "0,0,0,1,0,0", "--from", "1,1/2,0",
+          "--steps", "0"],
+         "error: argument --steps: must be >= 1, got 0\n"),
+        (["invariants", "{f}", "--points", "0"],
+         "error: argument --points: must be >= 1, got 0\n"),
+        (["invariants", "{f}", "--points", "-1"],
+         "error: argument --points: must be >= 1, got -1\n"),
+        (["verify", "{f}", "--invariant", "x1", "--points", "0"],
+         "error: argument --points: must be >= 1, got 0\n"),
+        (["invariants", "{f}", "--points", "two"],
+         "error: argument --points: invalid int value: 'two'\n"),
+    ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
+            "invariants-points-negative", "verify-points-0", "invariants-points-not-int"])
+    def test_exit_2_with_one_line(self, euclid_file, argv, message, capsys):
+        code, out, err = run([a.format(f=euclid_file) for a in argv], capsys)
+        assert code == 2 and not out
+        assert err == message
+
+    def test_missing_argument_one_line(self, capsys):
+        code, out, err = run(["flow"], capsys)
+        assert code == 2 and not out
+        assert err.startswith("error: the following arguments are required: file")
+        assert len(err.splitlines()) == 1
+
+
 class TestMobility:
     def test_expectation_checked(self, euclid_file, capsys):
         code, out, _ = run(["mobility", euclid_file], capsys)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefields import algebra as A, expr as E, invariants as I
+from liefields import algebra as A, catalog as CAT, exactla, expr as E, invariants as I
 from liefields import fields as F
 from liefields import flows as FL
 
@@ -216,6 +217,99 @@ class TestEssential:
     def test_missing_pair_invariant_raises(self, euclid):
         with pytest.raises(I.MissingPairInvariant):
             I.essential_invariant_check(euclid, 3)
+
+
+def full_gradient_rank(bodies, nvars, seed, params=None):
+    """Reference: the largest rank over all 8 configurations, no early stop."""
+    grads = [[E.differentiate(b, v) for v in range(nvars)] for b in bodies]
+    exact = all(not E.contains_fn(d) for row in grads for d in row)
+    rng = random.Random(seed)
+    best = 0
+    configs = 0
+    attempts = 0
+    while configs < 8 and attempts < 400:
+        attempts += 1
+        if exact:
+            coords = [F.random_rational(rng) for _ in range(nvars)]
+            try:
+                matrix = [[E.evaluate_exact(d, coords, params) for d in row] for row in grads]
+            except (E.DomainError, E.NonPolynomialError):
+                continue
+            best = max(best, exactla.rank(matrix))
+        else:
+            coords = [rng.uniform(-2, 2) for _ in range(nvars)]
+            fparams = {j: float(v) for j, v in (params or {}).items()}
+            try:
+                matrix = np.array(
+                    [[E.evaluate_numeric(d, coords, fparams) for d in row] for row in grads])
+            except (E.DomainError, OverflowError):
+                continue
+            scale = np.abs(matrix).max(axis=1, keepdims=True)
+            scale[scale == 0] = 1.0
+            sv = np.linalg.svd(matrix / scale, compute_uv=False)
+            best = max(best, int(np.sum(sv > I._NUM_TOL)))
+        configs += 1
+    return best
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Counts the exact rank evaluations, one per configuration drawn."""
+    calls = []
+    rank = exactla.rank
+
+    def counting(matrix, *args):
+        calls.append(len(matrix))
+        return rank(matrix, *args)
+
+    monkeypatch.setattr(exactla, "rank", counting)
+    return calls
+
+
+class TestGradientRank:
+    """Sampling stops once the rank reaches min(rows, cols); below that
+    ceiling all 8 configurations are drawn, as before."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_catalog_calls_match_full_sampling(self, seed, monkeypatch):
+        calls = []
+        stopping = I._gradient_rank
+
+        def recording(bodies, nvars, seed, params=None):
+            rank = stopping(bodies, nvars, seed, params)
+            calls.append((bodies, nvars, seed, params, rank))
+            return rank
+
+        monkeypatch.setattr(I, "_gradient_rank", recording)
+        CAT.verify_catalog(seed=seed, checks=("essential_3pt",))
+        monkeypatch.undo()
+        assert len(calls) == 44
+        below = 0
+        for bodies, nvars, s, params, rank in calls:
+            assert rank == full_gradient_rank(bodies, nvars, s, params)
+            below += rank < min(len(bodies), nvars)
+        assert below == 3
+
+    def test_stops_at_ceiling(self, rank_calls):
+        bodies = [E.parse_expression(t, PV2) for t in ("x1 - x2", "y1*z2", "z1 + z2^2")]
+        assert I._gradient_rank(bodies, 6, seed=0) == 3
+        assert len(rank_calls) == 1
+
+    def test_dependent_pullbacks_draw_all_configurations(self, rank_calls):
+        J = cand("(x1-x2)^2 + (y1-y2)^2 + (z1-z2)^2")
+        d = J.body
+        bodies = [d, E.mul(d, d)]
+        assert I._gradient_rank(bodies, 6, seed=0) == 1
+        assert len(rank_calls) == 8
+
+    def test_catalog_pullbacks_below_ceiling_draw_all_configurations(self, rank_calls):
+        entry = CAT.entry_by_id("ex94-21")
+        L = entry.presentation()
+        bodies = [b for J in entry.parsed_invariants()
+                  for b in I.pair_invariant_pullbacks(J, L.dim, 3)]
+        assert (len(bodies), 3 * L.dim) == (3, 9)
+        assert I._gradient_rank(bodies, 9, seed=0) == 2
+        assert len(rank_calls) == 8
 
 
 class TestPseudospheres:
