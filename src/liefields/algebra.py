@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import exactla, expr as E
 from . import fields as F
@@ -51,13 +51,6 @@ class LieAlgebraPresentation:
             raise F.FieldError("generator dimension mismatch")
         if not F.linear_independence_over_constants(list(self.generators), seed=seed):
             raise F.FieldError(f"{self.name}: generators dependent over constants")
-
-    def with_param_values(self, values: Mapping[int, Fraction]) -> "LieAlgebraPresentation":
-        gens = tuple(
-            VectorField(g.dim, tuple(E.substitute_params(c, values) for c in g.coeffs))
-            for g in self.generators
-        )
-        return LieAlgebraPresentation(self.name, self.vars, self.params, gens)
 
 
 def presentation(name: str, vars: Sequence[str], generators: Sequence[str],
@@ -232,9 +225,7 @@ def isotropy_at_point(L: LieAlgebraPresentation, base, param_values=None) -> Iso
         for s, cs in enumerate(row):
             if not cs.is_zero:
                 X = X + (cs * L.generators[s])
-        if pv:
-            X = VectorField(X.dim, tuple(E.substitute_params(c, pv) for c in X.coeffs))
-        vanishing.append(X)
+        vanishing.append(F.substitute_params(X, pv))
     linear = _linear_isotropy_matrices(vanishing, coords, pv, L.dim)
     reduced = _reduced_basis(linear, L.dim)
     return IsotropyReport(tuple(coords), combos, vanishing, linear, reduced)

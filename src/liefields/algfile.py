@@ -11,6 +11,7 @@ optional invariant candidates and expectations.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -64,13 +65,11 @@ def parse_algebra_file(text: str, name: str = "algebra") -> AlgebraFile:
         elif key == "field":
             fields_.append(value)
         elif key.startswith("invariant"):
-            s = 2
-            if "[" in key:
-                inner = key[key.index("[") + 1 : key.rindex("]")]
-                if not inner.startswith("s="):
-                    raise AlgebraFileError(f"line {lineno}: malformed invariant tag {key!r}")
-                s = int(inner[2:])
-            invariants_.append((s, value))
+            tag = re.fullmatch(r"invariant(?:\[s=(\d+)\])?", key)
+            if tag is None or tag[1] is not None and int(tag[1]) < 1:
+                raise AlgebraFileError(f"line {lineno}: malformed invariant tag {key!r}, "
+                                       "expected invariant[s=N] with N >= 1")
+            invariants_.append((int(tag[1] or 2), value))
         elif key == "expect":
             if "=" not in value:
                 raise AlgebraFileError(f"line {lineno}: expect needs key=value")

@@ -8,16 +8,22 @@ seven one-parameter normal forms."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence
 
 from . import algebra as A, exactla, expr as E, flows as FL, invariants as I, mobility as M
 from . import fields as F
 
 _STANDARD_SAMPLES = (Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(3))
+
+
+class CatalogError(LookupError):
+    """No built-in entry has the requested id."""
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,13 @@ class Expected:
 @dataclass(frozen=True)
 class BoundaryCase:
     param_values: Mapping[str, Fraction]
-    expected: Mapping[str, object]
+    expected: Mapping[str, object]   # check name -> value claimed at these parameters
+
+    def __post_init__(self):
+        for name in self.expected:
+            if name not in CHECKS or CHECKS[name].once:
+                raise ValueError(f"boundary case expects {name!r}, which is not a check "
+                                 "run at parameter values")
 
 
 @dataclass(frozen=True)
@@ -449,7 +461,7 @@ def entry_by_id(eid: str) -> CatalogEntry:
     for e in builtin_entries():
         if e.id == eid:
             return e
-    raise KeyError(f"no catalog entry {eid!r}")
+    raise CatalogError(f"no catalog entry {eid!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,12 +512,6 @@ class VerificationReport:
         }
 
 
-def _fmt_params(entry: CatalogEntry, values: Mapping[int, Fraction]) -> str:
-    if not values:
-        return ""
-    return "@" + ",".join(f"{entry.params[j]}={v}" for j, v in sorted(values.items()))
-
-
 def monodromy_generator(L: A.LieAlgebraPresentation, fix_points: Sequence[Sequence[Fraction]],
                         param_values=None):
     """Kernel combination of the generators vanishing at every fix point."""
@@ -522,187 +528,155 @@ def monodromy_generator(L: A.LieAlgebraPresentation, fix_points: Sequence[Sequen
         for s, cs in enumerate(vec):
             if cs:
                 X = X + (E.const(cs) * L.generators[s])
-        if param_values:
-            X = F.VectorField(X.dim, tuple(E.substitute_params(c, param_values) for c in X.coeffs))
-        combos.append((vec, X))
+        combos.append((vec, F.substitute_params(X, param_values)))
     return combos
 
 
-def _run_monodromy(entry: CatalogEntry, pv: Mapping[int, Fraction], seed: int):
-    spec = entry.monodromy
-    L = entry.presentation()
+class _Context:
+    """An entry with its presentation and attached invariants, parsed once."""
+
+    def __init__(self, entry: CatalogEntry):
+        self.entry, self.L, self.invariants = entry, entry.presentation(), entry.parsed_invariants()
+
+    @functools.cached_property
+    def constants(self) -> A.StructureConstants:
+        return A.check_closure(self.L)
+
+
+def _closure(ctx, pv, seed):
+    try:
+        ctx.constants
+    except A.NotClosedError as err:
+        residual = F.field_to_string(err.residual, ctx.entry.vars, ctx.entry.params)
+        return False, f"residual {residual} in [X{err.j + 1}, X{err.k + 1}]"
+    return True
+
+
+def _published_infinitesimal(ctx, pv, seed):
+    names = F.differential_var_names(ctx.entry.vars)
+    body = E.parse_expression(ctx.entry.infinitesimal_invariant, names, ctx.entry.params)
+    images = (F.apply_to_function(F.prolong_differentials(g), body) for g in ctx.L.generators)
+    return all(E.is_identically_zero(E.substitute_params(res, pv) if pv else res) is E.Zeroness.YES
+               for res in images)
+
+
+def _monodromy(ctx, pv, seed):
+    """Whether the spec's period, or its absence, is found: the report's
+    expected value is always True."""
+    spec, L = ctx.entry.monodromy, ctx.L
     if spec.fix_point:
-        fix = [[Fraction(0)] * len(entry.vars), [Fraction(v) for v in spec.fix_point]]
+        fix = [[Fraction(0)] * L.dim, [Fraction(v) for v in spec.fix_point]]
         combos = monodromy_generator(L, fix, pv)
         if not combos:
-            return None, "no one-parameter subgroup fixes the required points"
+            return spec.period is None, "no one-parameter subgroup fixes the required points"
         vec, X = combos[0]
         if spec.normalize_generator is not None:
             scale = vec[spec.normalize_generator]
             if scale == 0:
-                return None, "kernel combination misses the normalizing slot"
-            X = F.VectorField(X.dim, tuple(E.mul(E.const(1 / scale), c) for c in X.coeffs))
+                return spec.period is None, "kernel combination misses the normalizing slot"
+            X = (1 / scale) * X
         start = F.Point((Fraction(2, 5), Fraction(-3, 10), Fraction(1, 5)))
     else:
-        X = L.generators[0]
-        if pv:
-            X = F.VectorField(X.dim, tuple(E.substitute_params(c, pv) for c in X.coeffs))
+        X = F.substitute_params(L.generators[0], pv)
         start = F.Point(tuple(Fraction(1, 2) + Fraction(k, 7) for k in range(L.dim)))
     period, diag = FL.monodromy_period(X, start, t_max=spec.t_max, steps=20000,
                                        seed=seed, scale=0.5)
     misses = ", ".join(f"{d:.3e}" for _, t, d in diag[:4] if t is None)
     note = f"min distances: {misses}" if misses else f"returns at {period:.9f}" if period else ""
-    return period, note
+    if spec.period is None:
+        return period is None, note
+    return period is not None and abs(period - spec.period) < 1e-6, note
 
 
-_ALL_CHECKS = ("closure", "structure", "transitive", "pair_invariant_count",
-               "two_point_criterion", "invariants", "essential_3pt",
-               "infinitesimal_invariant", "published_infinitesimal",
-               "monodromy", "free_mobility")
+def _free_mobility(ctx, pv, seed):
+    verdict = M.free_mobility_infinitesimal(ctx.L, seed=seed, param_values=pv)
+    return verdict.free_mobility, verdict.failing_stage or ""
+
+
+class Check(NamedTuple):
+    expected: Callable            # entry -> the value it claims, None for no claim
+    fn: Callable                  # (ctx, pv or None, seed) -> observed | (observed, diagnostics)
+    once: bool = False            # holds identically in the parameters: one run per entry
+    label: Optional[str] = None   # one claim per attached invariant J: fn(J, ctx, pv, seed)
+
+
+# The registry, in report order. The parameter sweep and the boundary cases
+# both run from it.
+CHECKS = {
+    "closure": Check(attrgetter("expected.closed"), _closure, once=True),
+    "structure": Check(lambda entry: True, lambda ctx, pv, seed: A.verify_structure(ctx.constants),
+                       once=True),
+    "transitive": Check(attrgetter("expected.transitive"), lambda ctx, pv, seed:
+                        A.is_transitive(ctx.L, seed=seed, param_values=pv)),
+    "pair_invariant_count": Check(attrgetter("expected.pair_invariant_count"), lambda ctx, pv, seed:
+                                  A.joint_invariant_count(ctx.L, 2, seed=seed, param_values=pv)),
+    "two_point_criterion": Check(attrgetter("expected.two_point_criterion"), lambda ctx, pv, seed:
+                                 A.two_point_invariant_criterion(ctx.L, seed=seed, param_values=pv)),
+    "invariants": Check(lambda entry: I.Verdict.PROVEN.value, lambda J, ctx, pv, seed:
+                        I.verify_joint_invariant(ctx.L, J, mode="symbolic", seed=seed,
+                                                 param_values=pv).verdict.value,
+                        label="invariant_proven"),
+    "essential_3pt": Check(attrgetter("expected.essential_3pt"), lambda ctx, pv, seed:
+                           I.essential_invariant_check(ctx.L, 3, seed=seed, param_values=pv,
+                                                       pair_invariants=ctx.invariants)),
+    "infinitesimal_invariant": Check(attrgetter("expected.infinitesimal_invariant"), lambda ctx, pv, seed:
+                                     I.infinitesimal_invariant_exists(ctx.L, seed=seed, param_values=pv)),
+    "published_infinitesimal": Check(lambda entry: True if entry.infinitesimal_invariant else None,
+                                     _published_infinitesimal),
+    "monodromy": Check(lambda e: True if e.monodromy and e.expected.monodromy is not None else None,
+                       _monodromy),
+    "free_mobility": Check(attrgetter("expected.free_mobility"), _free_mobility),
+}
+
+_ALL_CHECKS = tuple(CHECKS)
 
 
 def verify_entry(entry: CatalogEntry, seed: int = 0,
                  checks: Sequence[str] = _ALL_CHECKS) -> VerificationReport:
     """Replay every expected claim of the entry; failures are recorded, never
-    raised, so a batch always completes."""
+    raised, so a batch always completes. An unknown check name raises
+    ValueError."""
+    unknown = [name for name in checks if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown check {unknown[0]!r}")
+    ctx = _Context(entry)
     results: List[CheckResult] = []
-    exp = entry.expected
 
-    def record(name, expected, observed, diagnostics=""):
+    def run(name, expected, thunk):
+        try:
+            observed = thunk()
+            observed, diagnostics = observed if isinstance(observed, tuple) else (observed, "")
+        except Exception as err:  # recorded, never aborts the batch
+            observed, diagnostics = f"error: {err}", ""
         status = "pass" if observed == expected else "fail"
         results.append(CheckResult(name, expected, observed, status, diagnostics))
 
-    def guarded(name, expected, thunk, diagnostics=""):
-        try:
-            observed = thunk()
-        except Exception as err:  # recorded, never aborts the batch
-            results.append(CheckResult(name, expected, f"error: {err}", "fail", diagnostics))
-            return None
-        record(name, expected, observed, diagnostics)
-        return observed
+    def claim(name, expected, pv):
+        check, pv = CHECKS[name], pv or None
+        tag = "@" + ",".join(f"{entry.params[j]}={v}" for j, v in sorted(pv.items())) if pv else ""
+        if check.label is None:
+            run(name + tag, expected, lambda: check.fn(ctx, pv, seed))
+        else:
+            for i, J in enumerate(ctx.invariants):
+                run(f"{check.label}[{i}]{tag}", expected, lambda: check.fn(J, ctx, pv, seed))
 
-    sweeps = entry.param_value_maps()
-    boundary_cases = [
-        ({entry.params.index(k): v for k, v in case.param_values.items()}, case.expected)
-        for case in entry.boundary
-    ]
-    L = entry.presentation()
-
-    # closure and the quadratic relations hold identically in the parameters,
-    # so one symbolic run covers every sample
-    constants = None
-    if "closure" in checks or "structure" in checks:
-        try:
-            constants = A.check_closure(L)
-            closed_observed = True
-            closure_diag = ""
-        except A.NotClosedError as err:
-            closed_observed = False
-            closure_diag = ("residual "
-                            + F.field_to_string(err.residual, entry.vars, entry.params)
-                            + f" in [X{err.j + 1}, X{err.k + 1}]")
-        if "closure" in checks:
-            record("closure", exp.closed, closed_observed, closure_diag)
-        if "structure" in checks:
-            if constants is not None:
-                guarded("structure", True, lambda: A.verify_structure(constants))
-            else:
-                results.append(CheckResult("structure", True, "error: not closed", "fail"))
-
-    for pv in sweeps:
-        tag = _fmt_params(entry, pv)
-        if "transitive" in checks and exp.transitive is not None:
-            guarded(f"transitive{tag}", exp.transitive,
-                    lambda pv=pv: A.is_transitive(L, seed=seed, param_values=pv or None))
-        if "pair_invariant_count" in checks and exp.pair_invariant_count is not None:
-            guarded(f"pair_invariant_count{tag}", exp.pair_invariant_count,
-                    lambda pv=pv: A.joint_invariant_count(L, 2, seed=seed, param_values=pv or None))
-        if "two_point_criterion" in checks and exp.two_point_criterion is not None:
-            guarded(f"two_point_criterion{tag}", exp.two_point_criterion,
-                    lambda pv=pv: A.two_point_invariant_criterion(L, seed=seed, param_values=pv or None))
-        if "invariants" in checks:
-            for i, J in enumerate(entry.parsed_invariants()):
-                guarded(
-                    f"invariant_proven[{i}]{tag}", I.Verdict.PROVEN.value,
-                    lambda J=J, pv=pv: I.verify_joint_invariant(
-                        L, J, mode="symbolic", seed=seed, param_values=pv or None
-                    ).verdict.value,
-                )
-        if "essential_3pt" in checks and exp.essential_3pt is not None:
-            guarded(
-                f"essential_3pt{tag}", exp.essential_3pt,
-                lambda pv=pv: I.essential_invariant_check(
-                    L, 3, seed=seed, pair_invariants=entry.parsed_invariants(),
-                    param_values=pv or None),
-            )
-        if "infinitesimal_invariant" in checks and exp.infinitesimal_invariant is not None:
-            guarded(
-                f"infinitesimal_invariant{tag}", exp.infinitesimal_invariant,
-                lambda pv=pv: I.infinitesimal_invariant_exists(L, seed=seed, param_values=pv or None),
-            )
-        if "published_infinitesimal" in checks and entry.infinitesimal_invariant:
-            def run_pub(pv=pv):
-                names = F.differential_var_names(entry.vars)
-                body = E.parse_expression(entry.infinitesimal_invariant, names, entry.params)
-                for g in L.generators:
-                    res = F.apply_to_function(F.prolong_differentials(g), body)
-                    if pv:
-                        res = E.substitute_params(res, pv)
-                    if E.is_identically_zero(res) is not E.Zeroness.YES:
-                        return False
-                return True
-            guarded(f"published_infinitesimal{tag}", True, run_pub)
-        if "monodromy" in checks and entry.monodromy is not None and exp.monodromy is not None:
-            def run_monodromy(pv=pv):
-                period, note = _run_monodromy(entry, pv, seed)
-                if entry.monodromy.period is None:
-                    return (period is None, note)
-                if period is None:
-                    return (False, note)
-                return (abs(period - entry.monodromy.period) < 1e-6, note)
-            try:
-                ok, note = run_monodromy()
-            except Exception as err:
-                ok, note = f"error: {err}", ""
-            results.append(CheckResult(f"monodromy{tag}", True, ok,
-                                       "pass" if ok is True else "fail", note))
-        if "free_mobility" in checks and exp.free_mobility is not None:
-            def run_mobility(pv=pv):
-                verdict = M.free_mobility_infinitesimal(L, seed=seed, param_values=pv or None)
-                return verdict.free_mobility, verdict.failing_stage or ""
-            try:
-                observed, stage = run_mobility()
-            except Exception as err:
-                observed, stage = f"error: {err}", ""
-            results.append(CheckResult(
-                f"free_mobility{tag}", exp.free_mobility, observed,
-                "pass" if observed == exp.free_mobility else "fail", stage))
-
-    for pv, overrides in boundary_cases:
-        tag = _fmt_params(entry, pv)
-        for key, expected in overrides.items():
-            if key == "pair_invariant_count":
-                guarded(f"pair_invariant_count{tag}", expected,
-                        lambda pv=pv: A.joint_invariant_count(L, 2, seed=seed, param_values=pv))
-            elif key == "two_point_criterion":
-                guarded(f"two_point_criterion{tag}", expected,
-                        lambda pv=pv: A.two_point_invariant_criterion(L, seed=seed, param_values=pv))
-            elif key == "infinitesimal_invariant":
-                guarded(f"infinitesimal_invariant{tag}", expected,
-                        lambda pv=pv: I.infinitesimal_invariant_exists(L, seed=seed, param_values=pv))
-            elif key == "transitive":
-                guarded(f"transitive{tag}", expected,
-                        lambda pv=pv: A.is_transitive(L, seed=seed, param_values=pv))
+    claimed = [(name, exp) for name in CHECKS
+               if name in checks and (exp := CHECKS[name].expected(entry)) is not None]
+    for pv in [None] + entry.param_value_maps():
+        for name, expected in claimed:
+            if CHECKS[name].once == (pv is None):
+                claim(name, expected, pv)
+    for case in entry.boundary:
+        pv = {entry.params.index(k): v for k, v in case.param_values.items()}
+        for name, expected in case.expected.items():
+            if name in checks:
+                claim(name, expected, pv)
     return VerificationReport(entry.id, seed, results)
 
 
 def verify_catalog(seed: int = 0, entry_id: Optional[str] = None,
                    checks: Sequence[str] = _ALL_CHECKS) -> List[VerificationReport]:
-    entries = builtin_entries()
-    if entry_id is not None:
-        entries = [e for e in entries if e.id == entry_id]
-        if not entries:
-            raise KeyError(f"no catalog entry {entry_id!r}")
+    entries = builtin_entries() if entry_id is None else [entry_by_id(entry_id)]
     return [verify_entry(e, seed=seed, checks=checks) for e in sorted(entries, key=lambda e: e.id)]
 
 

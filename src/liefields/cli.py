@@ -138,7 +138,7 @@ def run(argv) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     try:
         return _dispatch(args, seed)
-    except (E.ParseError, algfile.AlgebraFileError, F.FieldError, KeyError) as err:
+    except (E.ParseError, algfile.AlgebraFileError, F.FieldError, CAT.CatalogError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (E.ExprError, I.DomainExhausted, FL.DivergenceSuspected,
@@ -210,9 +210,7 @@ def _dispatch(args, seed: int) -> int:
     if args.command == "flow":
         if not 1 <= args.gen <= L.order:
             raise algfile.AlgebraFileError(f"--gen must be in 1..{L.order}")
-        X = L.generators[args.gen - 1]
-        if pv:
-            X = F.VectorField(X.dim, tuple(E.substitute_params(c, pv) for c in X.coeffs))
+        X = F.substitute_params(L.generators[args.gen - 1], pv)
         _require_instantiated(X, af)
         start = _parse_point(args.start)
         tracked = {}
@@ -239,8 +237,7 @@ def _dispatch(args, seed: int) -> int:
         for w, g in zip(weights, L.generators):
             if w:
                 X = X + (E.const(w) * g)
-        if pv:
-            X = F.VectorField(X.dim, tuple(E.substitute_params(c, pv) for c in X.coeffs))
+        X = F.substitute_params(X, pv)
         _require_instantiated(X, af)
         start = _parse_point(args.start)
         period, diag = FL.monodromy_period(X, F.Point(start), t_max=args.t_max,

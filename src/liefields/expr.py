@@ -889,12 +889,18 @@ def parse_expression(text: str, vars: Sequence[str], params: Sequence[str] = ())
     return _Parser(text, vmap, pmap).parse()
 
 
+# deeper nesting of parentheses and function calls (the whole expression is
+# the first level) is a parse error, well before Python's recursion limit
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str, vmap, pmap):
         self.text = text
         self.i = 0
         self.vmap = vmap
         self.pmap = pmap
+        self.depth = 0
 
     def _offset(self) -> int:
         return len(self.text[: self.i].encode("utf-8"))
@@ -918,6 +924,9 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nesting deeper than {MAX_NESTING} levels")
         negate = False
         if self.peek() == "-":
             self.i += 1
@@ -933,6 +942,7 @@ class _Parser:
                 self.i += 1
                 terms.append(neg(self.term()))
             else:
+                self.depth -= 1
                 return terms[0] if len(terms) == 1 else add_many(terms)
 
     def term(self) -> Expr:

@@ -96,6 +96,14 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     return VectorField(X.dim, coeffs)
 
 
+def substitute_params(X: VectorField, values) -> VectorField:
+    """X with the given index-keyed parameter values put in; X itself when
+    there are none."""
+    if not values:
+        return X
+    return VectorField(X.dim, tuple(E.substitute_params(c, values) for c in X.coeffs))
+
+
 def evaluate_at_point(X: VectorField, p) -> tuple:
     p = _as_point(p)
     params = {k: float(v) for k, v in p.params.items()}

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +100,66 @@ class TestVerifyEntry:
                                   checks=("closure", "pair_invariant_count"))
         assert not report.passed
         assert any(c.status == "fail" for c in report.checks)
+
+
+class TestCheckRegistry:
+    def test_all_checks_come_from_the_registry(self):
+        assert CAT._ALL_CHECKS == tuple(CAT.CHECKS)
+
+    @pytest.mark.parametrize("key", ["two_point_critrion", "closure", "structure"])
+    def test_boundary_key_must_be_a_sampled_check(self, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            CAT.CatalogEntry(
+                id="bad", source="", vars=("x", "y"), params=("c",), generators=("p",),
+                boundary=(CAT.BoundaryCase({"c": Fraction(0)}, {key: True}),))
+
+    def test_unknown_check_name_raises(self):
+        entry = CAT.entry_by_id("thm37-1")
+        with pytest.raises(ValueError, match="'closur'"):
+            CAT.verify_entry(entry, checks=("closur",))
+        with pytest.raises(ValueError, match="'closur'"):
+            CAT.verify_catalog(checks=("closure", "closur"))
+
+    def test_unknown_entry_raises_catalog_error(self):
+        with pytest.raises(CAT.CatalogError, match="no catalog entry 'nope'"):
+            CAT.verify_catalog(entry_id="nope")
+
+    def test_boundary_cases_run_every_registered_check(self):
+        base = CAT.entry_by_id("ex87-51")
+        case = CAT.BoundaryCase({"c": Fraction(0)}, {"essential_3pt": True,
+                                                     "free_mobility": True})
+        entry = dataclasses.replace(base, param_samples=(), boundary=(case,))
+        report = CAT.verify_entry(entry, seed=0)
+        names = [c.name for c in report.checks]
+        assert names == ["closure", "structure", "essential_3pt@c=0", "free_mobility@c=0"]
+        essential = report.checks[2]
+        assert essential.observed == "error: a pair-invariant formula is required when two points have one"
+        assert essential.status == "fail" and essential.diagnostics == ""
+        mobility = report.checks[3]
+        assert mobility.observed is False and mobility.diagnostics
+
+    def test_boundary_cases_follow_the_check_selection(self):
+        report = CAT.verify_entry(CAT.entry_by_id("ex87-51"), seed=0,
+                                  checks=("two_point_criterion",))
+        assert [c.name for c in report.checks][-1] == "two_point_criterion@c=0"
+        assert all(c.name.startswith("two_point_criterion@") for c in report.checks)
+
+    def test_not_closed_entry(self):
+        entry = CAT.CatalogEntry(id="open", source="", vars=("x", "y"), params=(),
+                                 generators=("p", "x*q"), expected=CAT.Expected(transitive=None))
+        report = CAT.verify_entry(entry, seed=0)
+        closure, structure = report.checks
+        assert (closure.observed, closure.status, closure.diagnostics) == (
+            False, "fail", "residual q in [X1, X2]")
+        assert (structure.observed, structure.status) == (
+            "error: [X1, X2] leaves the constant span", "fail")
+
+    def test_monodromy_report_keeps_expected_true(self):
+        report = CAT.verify_entry(CAT.entry_by_id("ex94-24r"), seed=0, checks=("monodromy",))
+        [check] = report.checks
+        assert (check.name, check.expected, check.observed, check.status) == (
+            "monodromy", True, True, "pass")
+        assert check.diagnostics.startswith("min distances: ")
 
 
 class TestReducedGroupTable:

@@ -42,6 +42,7 @@ def bad_file(tmp_path):
 
 
 ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "data" / "algebras"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def run(argv, capsys):
@@ -67,6 +68,11 @@ class TestBracket:
         assert err.startswith("error: zero raised to a negative power")
         assert len(err.strip().splitlines()) == 1
 
+    def test_deep_nesting_exit_2(self, capsys):
+        code, out, err = run(["bracket", "p", "(" * 3000 + "x" + ")" * 3000 + "*q"], capsys)
+        assert code == 2 and not out
+        assert err == "error: nesting deeper than 100 levels at offset 100\n"
+
 
 class TestClosure:
     def test_not_closed_exit_1(self, bad_file, capsys):
@@ -78,6 +84,27 @@ class TestClosure:
         code, out, _ = run(["closure", euclid_file], capsys)
         assert code == 0
         assert "[X1, X2] = 0" in out
+
+
+class TestInvariantTags:
+    """A malformed invariant tag is malformed input: exit 2, one line, with its line."""
+
+    @pytest.mark.parametrize("tag", ["invariant[s=x]", "invariant[s=0]", "invariant[s=2",
+                                     "invariant[2]", "invariants"])
+    def test_exit_2_with_line_number(self, tag, tmp_path, capsys):
+        path = tmp_path / "tag.alg"
+        path.write_text(f"vars: x y\nfield: p\n{tag}: x2 - x1\n")
+        code, out, err = run(["invariants", str(path)], capsys)
+        assert code == 2 and not out
+        assert err == (f"error: line 3: malformed invariant tag {tag!r}, "
+                       "expected invariant[s=N] with N >= 1\n")
+
+    @pytest.mark.parametrize("tag", ["invariant", "invariant[s=2]"])
+    def test_well_formed_tags(self, tag, tmp_path, capsys):
+        path = tmp_path / "tag.alg"
+        path.write_text(f"vars: x y\nfield: p\n{tag}: y2 - y1\n")
+        code, out, _ = run(["verify", str(path), "--invariant", "y2 - y1"], capsys)
+        assert code == 0 and out == "Proven\n"
 
 
 class TestInvariantCommands:
@@ -188,8 +215,16 @@ class TestCatalogCommand:
                                              "status", "diagnostics"]
 
     def test_unknown_entry_exit_2(self, capsys):
-        code, _, err = run(["catalog", "verify", "--entry", "nope"], capsys)
-        assert code == 2
+        code, out, err = run(["catalog", "verify", "--entry", "nope"], capsys)
+        assert code == 2 and not out
+        assert err == "error: no catalog entry 'nope'\n"
+
+    def test_internal_key_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(**kwargs):
+            raise KeyError("internal")
+        monkeypatch.setattr(cli.CAT, "verify_catalog", broken)
+        with pytest.raises(KeyError):
+            cli.run(["catalog", "verify"])
 
     def test_deterministic_stdout(self, capsys):
         code1, out1, _ = run(["catalog", "verify", "--entry", "thm37-9", "--seed", "3"], capsys)
@@ -212,3 +247,4 @@ class TestEndToEnd:
         assert code == 0
         lines = [l for l in out.splitlines() if ": pass" in l and "[seed 2]" in l]
         assert len(lines) >= 24
+        assert out == (GOLDEN / "catalog_seed2.txt").read_text(encoding="utf-8")

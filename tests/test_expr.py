@@ -47,6 +47,14 @@ class TestParsing:
         with pytest.raises(E.ParseError, match="positive integer denominator"):
             parse("1/0*x")
 
+    def test_nesting_depth_limited(self):
+        deep = E.MAX_NESTING - 1  # the whole expression is one level
+        assert parse("(" * deep + "x" + ")" * deep) == parse("x")
+        assert parse("atan(" * deep + "0" + ")" * deep).is_zero
+        for wrap in ("(", "exp("):
+            with pytest.raises(E.ParseError, match="nesting deeper than 100 levels"):
+                parse(wrap * 3000 + "x" + ")" * 3000)
+
     def test_whitespace_insignificant(self):
         assert parse("x ^ 2 * y") == parse("x^2*y")
 

@@ -57,6 +57,13 @@ class TestEvaluation:
     def test_isotropy_vanishes_at_its_point(self):
         assert F.evaluate_at_point(fld("y*p - z^2*r"), [0, 0, 0]) == (0.0, 0.0, 0.0)
 
+    def test_substitute_params(self):
+        X = F.parse_field("x*p + c*y*q + c^2*r", ["x", "y", "z"], ["c"])
+        assert F.substitute_params(X, {0: Fraction(1, 2)}) == F.parse_field(
+            "x*p + 1/2*y*q + 1/4*r", ["x", "y", "z"])
+        assert F.substitute_params(X, {}) is X
+        assert F.substitute_params(X, None) is X
+
 
 EUCLID = ["p", "q", "r", "x*q - y*p", "y*r - z*q", "z*p - x*r"]
 
