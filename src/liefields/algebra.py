@@ -81,66 +81,50 @@ class IsotropyReport:
 # closure and structure constants
 
 
-def _coefficient_equations(L: LieAlgebraPresentation):
-    """Rows of the linear system expressing membership in the constant span:
-    one row per (coordinate, variable-monomial), columns the generators."""
-    n = L.dim
-    keys = []
-    key_index = {}
-    columns = []
-    for g in L.generators:
+def _coefficient_rows(fields: Sequence[VectorField], n: int, key_index: dict) -> list:
+    """Each field as {row: coefficient}, one row per (coordinate,
+    variable-monomial); a monomial not yet in key_index gets the next row."""
+    out = []
+    for X in fields:
         col = {}
         for i in range(n):
-            for expo, coeff in E.poly_coefficients(g.coeffs[i], n).items():
-                k = (i, expo)
-                if k not in key_index:
-                    key_index[k] = len(keys)
-                    keys.append(k)
-                col[key_index[k]] = coeff
-        columns.append(col)
-    return keys, key_index, columns
-
-
-def _project_to_span(L: LieAlgebraPresentation, B: VectorField, keys, key_index, columns):
-    """Solve sum_s c_s X_s = B for constants in the parameters. Returns
-    (constants, residual_field)."""
-    rhs_entries = {}
-    for i in range(L.dim):
-        for expo, coeff in E.poly_coefficients(B.coeffs[i], L.dim).items():
-            k = (i, expo)
-            if k not in key_index:
-                # monomial absent from every generator: equation 0 = coeff
-                key_index[k] = len(keys)
-                keys.append(k)
-            rhs_entries[key_index[k]] = coeff
-    nrows = len(keys)
-    matrix = [[columns[s].get(r, E.ZERO) for s in range(L.order)] for r in range(nrows)]
-    rhs = [rhs_entries.get(r, E.ZERO) for r in range(nrows)]
-    solution, _consistent = exactla.solve(matrix, rhs, exactla.EXPR_OPS)
-    combo = F.zero_field(L.dim)
-    for s, cs in enumerate(solution):
-        if not cs.is_zero:
-            combo = combo + (cs * L.generators[s])
-    residual = B - combo
-    return solution, residual
+            for expo, coeff in E.poly_coefficients(X.coeffs[i], n).items():
+                col[key_index.setdefault((i, expo), len(key_index))] = coeff
+        out.append(col)
+    return out
 
 
 def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     """Solve [X_j, X_k] = sum_s c_jk^s X_s exactly by matching canonical
     variable-monomials; the c must be free of the variables. Raises
-    NotClosedError with the offending residual otherwise."""
-    keys, key_index, columns = _coefficient_equations(L)
-    r = L.order
+    NotClosedError with the offending residual otherwise.
+
+    All brackets share one elimination of [A | B_12 ... B_(r-1)r]. Rows of
+    monomials found only in brackets are zero in A, so they are never pivots
+    and never updated: each bracket's column sees the operations of its own
+    solve."""
+    r, n = L.order, L.dim
+    key_index: dict = {}
+    columns = _coefficient_rows(L.generators, n, key_index)
+    pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
+    brackets = [F.bracket(L.generators[j], L.generators[k]) for j, k in pairs]
+    sides = _coefficient_rows(brackets, n, key_index)
+    rows = range(len(key_index))
+    matrix = [[col.get(row, E.ZERO) for col in columns] for row in rows]
+    solutions = exactla.solve(matrix, [[side.get(row, E.ZERO) for row in rows] for side in sides],
+                              exactla.EXPR_OPS)
     table = [[[E.ZERO] * r for _ in range(r)] for _ in range(r)]
-    for j in range(r):
-        for k in range(j + 1, r):
-            B = F.bracket(L.generators[j], L.generators[k])
-            constants, residual = _project_to_span(L, B, keys, key_index, columns)
-            if not residual.is_zero:
-                raise NotClosedError(j, k, residual)
-            for s, cs in enumerate(constants):
-                table[j][k][s] = cs
-                table[k][j][s] = E.neg(cs)
+    for (j, k), B, (constants, _consistent) in zip(pairs, brackets, solutions):
+        combo = F.zero_field(n)
+        for s, cs in enumerate(constants):
+            if not cs.is_zero:
+                combo = combo + (cs * L.generators[s])
+        residual = B - combo
+        if not residual.is_zero:
+            raise NotClosedError(j, k, residual)
+        for s, cs in enumerate(constants):
+            table[j][k][s] = cs
+            table[k][j][s] = E.neg(cs)
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in table)
     return StructureConstants(r, frozen)
 

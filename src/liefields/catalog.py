@@ -77,6 +77,17 @@ class CatalogEntry:
     monodromy: Optional[MonodromySpec] = None
     notes: str = ""
 
+    def __post_init__(self):
+        for sample in self.param_samples:
+            if len(sample) != len(self.params):
+                raise ValueError(f"{self.id}: parameter sample {sample} has {len(sample)} values "
+                                 f"for {len(self.params)} parameters")
+        for case in self.boundary:
+            for name in case.param_values:
+                if name not in self.params:
+                    raise ValueError(f"{self.id}: boundary case names {name!r}, which is not "
+                                     "a parameter")
+
     def presentation(self) -> A.LieAlgebraPresentation:
         return A.presentation(self.id, self.vars, self.generators, self.params)
 

@@ -3,7 +3,8 @@
 Subcommands: bracket, closure, invariants, verify, flow, monodromy, mobility,
 catalog verify. Exit code 0 on success/pass, 1 on check failure, 2 on usage or
 parse errors. Same argv and seed give byte-identical stdout; the SEED
-environment variable overrides the default seed 0."""
+environment variable overrides the default seed 0. A malformed number in an
+argument or in SEED is a usage error that names the value."""
 
 from __future__ import annotations
 
@@ -20,23 +21,33 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _default_seed() -> int:
+class UsageError(Exception):
+    """A malformed argument or environment value: exit 2."""
+
+
+def _number(text: str, what: str, kind=Fraction):
+    """text as a Fraction (or int); anything else is a usage error naming
+    the value."""
     try:
-        return int(os.environ.get("SEED", "0"))
-    except ValueError:
-        return 0
+        return kind(text.strip())
+    except (ValueError, ZeroDivisionError):
+        noun = "an integer" if kind is int else "a rational number"
+        raise UsageError(f"{what} must be {noun}, got {text!r}") from None
+
+
+def _default_seed() -> int:
+    return _number(os.environ.get("SEED", "0"), "SEED", int)
 
 
 def _parse_point(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    return tuple(Fraction(p) for p in parts)
+    return tuple(_number(p, "--from") for p in text.split(","))
 
 
 def _require_instantiated(X, af) -> None:
     missing = F.field_params([X])
     if missing:
         names = ", ".join(af.params[j] for j in sorted(missing))
-        raise algfile.AlgebraFileError(
+        raise UsageError(
             f"integration needs values for the parameters: {names} (use --param)")
 
 
@@ -44,12 +55,12 @@ def _parse_param_overrides(pairs, params):
     values = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise algfile.AlgebraFileError(f"--param needs name=value, got {pair!r}")
+            raise UsageError(f"--param needs name=value, got {pair!r}")
         name, value = pair.split("=", 1)
         name = name.strip()
         if name not in params:
-            raise algfile.AlgebraFileError(f"unknown parameter {name!r}")
-        values[params.index(name)] = Fraction(value.strip())
+            raise UsageError(f"unknown parameter {name!r}")
+        values[params.index(name)] = _number(value, f"--param {name}")
     return values
 
 
@@ -135,10 +146,10 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
-    seed = args.seed if args.seed is not None else _default_seed()
     try:
-        return _dispatch(args, seed)
-    except (E.ParseError, algfile.AlgebraFileError, F.FieldError, CAT.CatalogError) as err:
+        return _dispatch(args, args.seed if args.seed is not None else _default_seed())
+    except (UsageError, E.ParseError, algfile.AlgebraFileError, F.FieldError,
+            CAT.CatalogError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (E.ExprError, I.DomainExhausted, FL.DivergenceSuspected,
@@ -209,7 +220,7 @@ def _dispatch(args, seed: int) -> int:
 
     if args.command == "flow":
         if not 1 <= args.gen <= L.order:
-            raise algfile.AlgebraFileError(f"--gen must be in 1..{L.order}")
+            raise UsageError(f"--gen must be in 1..{L.order}")
         X = F.substitute_params(L.generators[args.gen - 1], pv)
         _require_instantiated(X, af)
         start = _parse_point(args.start)
@@ -229,9 +240,9 @@ def _dispatch(args, seed: int) -> int:
         return 0
 
     if args.command == "monodromy":
-        weights = [Fraction(w) for w in args.gen_combo.split(",")]
+        weights = [_number(w, "--gen-combo") for w in args.gen_combo.split(",")]
         if len(weights) != L.order:
-            raise algfile.AlgebraFileError(
+            raise UsageError(
                 f"--gen-combo needs {L.order} coefficients, got {len(weights)}")
         X = F.zero_field(L.dim)
         for w, g in zip(weights, L.generators):

@@ -1,9 +1,20 @@
 """Exact linear algebra over the rationals and over rational functions of
-the parameters (Expr entries). Plain Gaussian elimination; determinism is the
-point, not asymptotics."""
+the parameters (Expr entries). Determinism is the point, not asymptotics.
+
+Three eliminations, each done once in the cheapest exact arithmetic:
+- ``rank`` over Q clears each row's denominators and eliminates
+  fraction-free on Python ints (gcd-normalised rows); row scaling keeps the
+  rank, and no value leaves the function. Over Q(params) it counts the
+  pivots of ``rref``.
+- ``solve`` takes a list of right-hand sides and eliminates the augmented
+  matrix [A | b_1 ... b_m] once; each column goes through exactly the
+  operations of its own solve.
+- ``rref`` leaves a cell alone where the pivot row holds a zero, so an
+  update costs one operation per nonzero of the pivot row."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -107,10 +118,13 @@ def rref(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS, max_col: int 
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         scale = ops.inv(rows[r][col])
         rows[r] = [ops.mul(scale, v) for v in rows[r]]
+        pivot = rows[r]
         for i in range(len(rows)):
             if i != r and not ops.is_zero(rows[i][col]):
                 f = rows[i][col]
-                rows[i] = [ops.add(rows[i][j], ops.neg(ops.mul(f, rows[r][j]))) for j in range(ncols)]
+                # a zero of the cell's own type leaves a - f*0 equal to a, also in type
+                rows[i] = [a if not p and type(a) is type(p) else ops.add(a, ops.neg(ops.mul(f, p)))
+                           for a, p in zip(rows[i], pivot)]
         pivots.append(col)
         r += 1
         if r == len(rows):
@@ -119,7 +133,44 @@ def rref(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS, max_col: int 
 
 
 def rank(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS) -> int:
-    return len(rref(matrix, ops)[1])
+    """Rank over Q (int and Fraction entries; anything else raises
+    TypeError) or, with EXPR_OPS, over Q(params)."""
+    if ops is not FRACTION_OPS:
+        return len(rref(matrix, ops)[1])
+    rows = [row for row in map(_integer_row, matrix) if any(row)]
+    found = col = 0
+    while rows:
+        # every remaining row is zero left of col and nonzero somewhere
+        pivot = next((row for row in rows if row[col]), None)
+        col += 1
+        if pivot is None:
+            continue
+        found += 1
+        p, rest = pivot[col - 1], []
+        for row in rows:
+            if row is pivot:
+                continue
+            a = row[col - 1]
+            if a:
+                row = [p * x - a * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                if not g:
+                    continue
+                if g > 1:
+                    row = [x // g for x in row]
+            rest.append(row)
+        rows = rest
+    return found
+
+
+def _integer_row(row) -> list:
+    """The row times the lcm of its denominators, as ints."""
+    den = 1
+    for v in row:
+        if not isinstance(v, (int, Fraction)):
+            raise TypeError(f"rank over Q needs int or Fraction entries, got {type(v).__name__}")
+        den = math.lcm(den, v.denominator)
+    return [v.numerator * (den // v.denominator) for v in row]
 
 
 def nullspace(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS) -> List[list]:
@@ -139,21 +190,23 @@ def nullspace(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS) -> List[
     return basis
 
 
-def solve(matrix: Sequence[Sequence], rhs: Sequence, ops: FieldOps = FRACTION_OPS):
-    """Solve A x = b. Returns (x, consistent). Free unknowns are set to zero;
-    when inconsistent, x is the partial solution from the consistent rows."""
+def solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence], ops: FieldOps = FRACTION_OPS):
+    """Solve A x = b for every right-hand side b in rhs with one elimination
+    of [A | b_1 ... b_m]. Returns one (x, consistent) per side, in order.
+    Free unknowns are set to zero; when b is inconsistent, x is the partial
+    solution from the consistent rows."""
     if not matrix:
-        return [], True
+        return [([], True) for _ in rhs]
     ncols = len(matrix[0])
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
+    aug = [list(row) + [b[i] for b in rhs] for i, row in enumerate(matrix)]
     rows, pivots = rref(aug, ops, max_col=ncols)
-    solution = [ops.zero] * ncols
-    for r, pc in enumerate(pivots):
-        solution[pc] = rows[r][ncols]
-    consistent = all(
-        ops.is_zero(row[ncols]) for row in rows[len(pivots):]
-    )
-    return solution, consistent
+    out = []
+    for c in range(ncols, ncols + len(rhs)):
+        solution = [ops.zero] * ncols
+        for r, pc in enumerate(pivots):
+            solution[pc] = rows[r][c]
+        out.append((solution, all(ops.is_zero(row[c]) for row in rows[len(pivots):])))
+    return out
 
 
 def det3(matrix, mul, add, neg):

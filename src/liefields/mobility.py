@@ -66,21 +66,25 @@ def _mat_mul(A, B):
     ]
 
 
-def _mat_rank(M) -> int:
-    return exactla.rank([[Fraction(v) for v in row] for row in M])
-
-
 def _eigenvalues(M: Sequence[Sequence[Fraction]]) -> list:
     coeffs = [float(c) for c in _char_poly(M)]
     return list(np.roots(coeffs)) if len(coeffs) > 1 else []
 
 
-def _zero_block_diagonalizable(M) -> bool:
-    """Geometric multiplicity of eigenvalue 0 equals the algebraic one, i.e.
-    ker M = ker M^2 (exact)."""
-    M2 = _mat_mul([[Fraction(v) for v in row] for row in M],
-                  [[Fraction(v) for v in row] for row in M])
-    return _mat_rank(M) == _mat_rank(M2)
+def _semisimple(M) -> bool:
+    """M is diagonalizable over C: the square-free part p / gcd(p, p') of its
+    characteristic polynomial p vanishes at M (exact)."""
+    p = _char_poly(M)
+    n = len(p) - 1
+    derivative = [(n - i) * c for i, c in enumerate(p[:-1])]
+    square_free, _ = _poly_divmod(p, _poly_gcd([p, derivative]))
+    a = [[Fraction(v) for v in row] for row in M]
+    value = [[Fraction(0)] * n for _ in range(n)]
+    for c in square_free:  # Horner
+        value = _mat_mul(value, a)
+        for i in range(n):
+            value[i][i] += c
+    return all(v == 0 for row in value for v in row)
 
 
 def _commensurable(omegas: Sequence[float]):
@@ -109,8 +113,8 @@ def _commensurable(omegas: Sequence[float]):
 
 def _periodic_shape(M, eigs) -> Optional[float]:
     """Fundamental omega when nonzero eigenvalues are pure-imaginary
-    conjugate pairs with commensurable frequencies and the zero block is
-    diagonalizable; None otherwise."""
+    conjugate pairs with commensurable frequencies and M is diagonalizable;
+    None otherwise."""
     scale = max((abs(l) for l in eigs), default=0.0)
     if scale == 0.0:
         return None
@@ -124,7 +128,7 @@ def _periodic_shape(M, eigs) -> Optional[float]:
             omegas.append(lam.imag)
     if not omegas:
         return None
-    if not _zero_block_diagonalizable(M):
+    if not _semisimple(M):
         return None
     if len(omegas) == 1:
         return omegas[0]
@@ -376,17 +380,18 @@ def _poly_trim(p):
     return p
 
 
-def _poly_mod(a, b):
-    a = list(a)
-    while len(a) >= len(b) and _poly_trim(a):
-        a = _poly_trim(a)
-        if len(a) < len(b):
-            break
+def _poly_divmod(a, b):
+    """Quotient and remainder of a by a trimmed b, coefficients highest
+    degree first."""
+    a = _poly_trim(list(a))
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
         f = a[0] / b[0]
+        q[len(q) - 1 - (len(a) - len(b))] = f
         for i in range(len(b)):
             a[i] -= f * b[i]
-        a = a[1:]
-    return _poly_trim(a)
+        a = _poly_trim(a[1:])
+    return q, a
 
 
 def _poly_gcd(polys):
@@ -397,7 +402,7 @@ def _poly_gcd(polys):
     for p in polys[1:]:
         a, b = g, p
         while b:
-            a, b = b, _poly_mod(a, b)
+            a, b = b, _poly_divmod(a, b)[1]
         g = a
         if len(g) == 1:
             return g
@@ -571,7 +576,7 @@ def _restrict_to_plane_action(mats, stab_basis, v):
             img = [-sum(u[k] * S[k][j] for k in range(3)) for j in range(3)]
             # project img onto span(basis) exactly: solve img = a*b1 + b*b2 (+ c*v)
             mat = [[basis[0][i], basis[1][i], v[i]] for i in range(3)]
-            sol, ok = exactla.solve(mat, img)
+            [(sol, _consistent)] = exactla.solve(mat, [img])
             rows.append([sol[0], sol[1]])
         out.append([[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]])
     return out

@@ -49,6 +49,88 @@ class TestClosure:
         assert C.c[1][5][3] == E.const(2)
 
 
+def reference_closure(L):
+    """One elimination per bracket, each with the rows of the monomials seen
+    so far. Returns the table c[j][k][s]; raises NotClosedError at the first
+    pair that leaves the span."""
+    n, r = L.dim, L.order
+    key_index = {}
+
+    def coefficients(X):
+        col = {}
+        for i in range(n):
+            for expo, coeff in E.poly_coefficients(X.coeffs[i], n).items():
+                col[key_index.setdefault((i, expo), len(key_index))] = coeff
+        return col
+
+    columns = [coefficients(g) for g in L.generators]
+    table = [[[E.ZERO] * r for _ in range(r)] for _ in range(r)]
+    for j in range(r):
+        for k in range(j + 1, r):
+            B = F.bracket(L.generators[j], L.generators[k])
+            side = coefficients(B)
+            aug = [[col.get(row, E.ZERO) for col in columns] + [side.get(row, E.ZERO)]
+                   for row in range(len(key_index))]
+            rows, pivots = exactla.rref(aug, exactla.EXPR_OPS, max_col=r)
+            constants = [E.ZERO] * r
+            for i, pc in enumerate(pivots):
+                constants[pc] = rows[i][r]
+            combo = F.zero_field(n)
+            for s, cs in enumerate(constants):
+                if not cs.is_zero:
+                    combo = combo + (cs * L.generators[s])
+            residual = B - combo
+            if not residual.is_zero:
+                raise A.NotClosedError(j, k, residual)
+            for s, cs in enumerate(constants):
+                table[j][k][s] = cs
+                table[k][j][s] = E.neg(cs)
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def prolonged(L, s=2):
+    return A.LieAlgebraPresentation(
+        f"{L.name}^{s}", tuple(F.point_var_names(L.vars, s)), L.params,
+        tuple(F.prolong_points(g, s) for g in L.generators))
+
+
+class TestOneClosureElimination:
+    """check_closure solves every bracket in one elimination; each bracket
+    must get the constants, term for term, of its own solve."""
+
+    @pytest.mark.parametrize("entry", CAT.builtin_entries(), ids=lambda e: e.id)
+    def test_catalog_and_prolongation_match_per_bracket_solves(self, entry):
+        L = entry.presentation()
+        for P in (L, prolonged(L)):
+            try:
+                want = reference_closure(P)
+            except A.NotClosedError as err:
+                with pytest.raises(A.NotClosedError) as got:
+                    A.check_closure(P)
+                assert (got.value.j, got.value.k, got.value.residual) == (
+                    err.j, err.k, err.residual)
+                continue
+            assert A.check_closure(P).c == want
+
+    def test_not_closed_reports_the_first_failing_pair(self):
+        # [X1, X2] = 2x q and [X2, X3] = 2x^2 y p - 2x y^2 q leave the span,
+        # on monomials no generator has; [X1, X3] = 0 closes
+        bad = pres("bad", ["p", "x^2*q", "y^2*p"])
+        with pytest.raises(A.NotClosedError) as want:
+            reference_closure(bad)
+        with pytest.raises(A.NotClosedError) as got:
+            A.check_closure(bad)
+        assert (got.value.j, got.value.k) == (want.value.j, want.value.k) == (0, 1)
+        assert got.value.residual == want.value.residual == F.parse_field("2*x*q", V3)
+
+    def test_one_elimination_per_presentation(self, euclid, monkeypatch):
+        calls = []
+        real = exactla.rref
+        monkeypatch.setattr(exactla, "rref", lambda *a, **k: calls.append(1) or real(*a, **k))
+        A.check_closure(euclid)
+        assert len(calls) == 1
+
+
 class TestStructureVerification:
     def test_catalog_style_constants_pass(self, euclid):
         assert A.verify_structure(A.check_closure(euclid))

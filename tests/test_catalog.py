@@ -113,6 +113,19 @@ class TestCheckRegistry:
                 id="bad", source="", vars=("x", "y"), params=("c",), generators=("p",),
                 boundary=(CAT.BoundaryCase({"c": Fraction(0)}, {key: True}),))
 
+    def test_boundary_parameter_must_be_an_entry_parameter(self):
+        with pytest.raises(ValueError, match="'d'"):
+            CAT.CatalogEntry(
+                id="bad", source="", vars=("x", "y"), params=("c",), generators=("p",),
+                boundary=(CAT.BoundaryCase({"d": Fraction(0)}, {"transitive": True}),))
+
+    @pytest.mark.parametrize("samples", [((Fraction(1), Fraction(2)),), ((),),
+                                         ((Fraction(1),), (Fraction(1), Fraction(2)))])
+    def test_param_samples_must_match_params(self, samples):
+        with pytest.raises(ValueError, match="parameter sample"):
+            CAT.CatalogEntry(id="bad", source="", vars=("x", "y"), params=("c",),
+                             generators=("p",), param_samples=samples)
+
     def test_unknown_check_name_raises(self):
         entry = CAT.entry_by_id("thm37-1")
         with pytest.raises(ValueError, match="'closur'"):

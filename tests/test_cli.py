@@ -176,10 +176,25 @@ class TestUsageErrors:
          "error: argument --points: must be >= 1, got 0\n"),
         (["invariants", "{f}", "--points", "two"],
          "error: argument --points: invalid int value: 'two'\n"),
+        (["invariants", "{p}", "--param", "c=1/0"],
+         "error: --param c must be a rational number, got '1/0'\n"),
+        (["invariants", "{p}", "--param", "c=abc"],
+         "error: --param c must be a rational number, got 'abc'\n"),
+        (["flow", "{f}", "--gen", "1", "--from", "1,1/0,0", "--t", "1"],
+         "error: --from must be a rational number, got '1/0'\n"),
+        (["flow", "{f}", "--gen", "1", "--from", "1,x,0", "--t", "1"],
+         "error: --from must be a rational number, got 'x'\n"),
+        (["monodromy", "{f}", "--gen-combo", "1/0", "--from", "1,0,0"],
+         "error: --gen-combo must be a rational number, got '1/0'\n"),
+        (["monodromy", "{f}", "--gen-combo", "0,0,0,x,0,0", "--from", "1,0,0"],
+         "error: --gen-combo must be a rational number, got 'x'\n"),
     ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
-            "invariants-points-negative", "verify-points-0", "invariants-points-not-int"])
+            "invariants-points-negative", "verify-points-0", "invariants-points-not-int",
+            "param-zero-denominator", "param-not-a-number", "from-zero-denominator",
+            "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number"])
     def test_exit_2_with_one_line(self, euclid_file, argv, message, capsys):
-        code, out, err = run([a.format(f=euclid_file) for a in argv], capsys)
+        code, out, err = run([a.format(f=euclid_file, p=ALGEBRAS / "ex87-51.alg")
+                              for a in argv], capsys)
         assert code == 2 and not out
         assert err == message
 
@@ -239,6 +254,19 @@ class TestSeedEnvOverride:
         code, out, _ = run(["invariants", euclid_file], capsys)
         assert code == 0
         assert out.strip() == "1"
+
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_malformed_env_seed_exit_2(self, value, euclid_file, capsys, monkeypatch):
+        monkeypatch.setenv("SEED", value)
+        code, out, err = run(["invariants", euclid_file], capsys)
+        assert code == 2 and not out
+        assert err == f"error: SEED must be an integer, got {value!r}\n"
+
+    def test_seed_option_wins_over_env(self, euclid_file, capsys, monkeypatch):
+        monkeypatch.setenv("SEED", "abc")
+        code, out, _ = run(["invariants", euclid_file, "--seed", "3"], capsys)
+        assert code == 0 and out.strip() == "1"
 
 
 class TestEndToEnd:

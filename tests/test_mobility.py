@@ -48,6 +48,17 @@ class TestClassification:
         assert M.classify_linear_one_param([[0, 0], [0, 0]]).tag == "Zero"
         assert M.classify_linear_one_param([[2, 0], [0, -1]]).tag == "RealHyperbolic"
 
+    def test_jordan_block_on_imaginary_pair_not_periodic(self):
+        # eigenvalues +-i twice with one Jordan block each: x(t) grows like t
+        jordan = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
+        assert M.classify_linear_one_param(jordan).tag != "Periodic"
+        h = Fraction(1, 2)
+        shifted = [[h, -1, 1, 0], [1, h, 0, 1], [0, 0, h, -1], [0, 0, 1, h]]
+        assert M.classify_linear_one_param(shifted).tag != "ProjectivelyPeriodic"
+        # a diagonalizable zero block next to a rotation stays periodic
+        assert M.classify_linear_one_param(
+            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).tag == "Periodic"
+
     def test_commensurable_pairs_share_period(self):
         cls = M.classify_linear_one_param(
             [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]])
