@@ -276,6 +276,9 @@ def _dispatch(args, seed: int) -> int:
 
 
 def main() -> None:
+    # reports name characteristic polynomials as λ²(λ²+1)²; a stdout that
+    # cannot encode them gets escapes rather than an error
+    sys.stdout.reconfigure(errors="backslashreplace")
     sys.exit(run(sys.argv[1:]))
 
 

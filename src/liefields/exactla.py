@@ -60,7 +60,7 @@ class FractionOps(FieldOps):
         return a * b
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
 
 class ExprOps(FieldOps):

@@ -4,6 +4,7 @@ and solution, and numeric period detection."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -397,41 +398,59 @@ def _first_return(X: VectorField, x0, t_max: float, tol: float, steps: int):
     return None, best_miss
 
 
+def start_points(x0, seed: int = 0, scale: float = 1.0):
+    """The start points of the monodromy tests, in order: x0, then x0 plus an
+    offset drawn uniformly from [-scale, scale] per coordinate, from one
+    seeded stream."""
+    rng = random.Random(seed)
+    x0 = F._as_point(x0)
+    yield x0
+    while True:
+        yield F.Point(tuple(c + rng.uniform(-scale, scale) for c in x0.coords), x0.params)
+
+
 def monodromy_period(X: VectorField, x0, t_max: float = 20.0, tol: float = 1e-6,
                      steps: int = 20000, starts: int = 8, seed: int = 0,
                      scale: float = 1.0):
     """Common first-return time of the flow, validated at `starts` distinct
     random start points (all must agree within tol). None when any trajectory
     fails to return, with min-distance diagnostics."""
-    rng = random.Random(seed)
-    x0 = F._as_point(x0)
-    n = X.dim
     periods = []
     diagnostics = []
-    produced = 0
-    attempts = 0
-    while produced < starts and attempts < 20 * starts:
-        attempts += 1
-        if produced == 0 and attempts == 1:
-            start = x0
-        else:
-            start = F.Point(
-                tuple(c + rng.uniform(-scale, scale) for c in x0.coords), x0.params
-            )
+    for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
         try:
             t_star, d = _first_return(X, start, t_max, tol, steps)
         except E.DomainError:
             continue
         if t_star is None and d == 0.0:
             continue  # start point at rest: resample
-        produced += 1
         diagnostics.append((start.coords, t_star, d))
         if t_star is None:
             return None, diagnostics
         periods.append(t_star)
-    if produced < starts:
+        if len(periods) == starts:
+            break
+    if len(periods) < starts:
         return None, diagnostics
     spread = max(periods) - min(periods)
     if spread > tol:
         return None, diagnostics
     return sum(periods) / len(periods), diagnostics
+
+
+def return_misses(X: VectorField, x0, period: float, steps: int = 20000, starts: int = 8,
+                  seed: int = 0, scale: float = 1.0) -> List[float]:
+    """Max-norm distance of each start point from its image after one period,
+    integrated once with `steps` RK4 steps, for the first `starts` of
+    start_points(x0, seed, scale) whose integration stays in the domain
+    (at most 20 * starts tries, as in monodromy_period)."""
+    misses = []
+    for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
+        try:
+            end = numeric_flow(X, start, period, steps).endpoint
+        except E.DomainError:
+            continue
+        misses.append(max(abs(a - float(b)) for a, b in zip(end, start.coords)))
+        if len(misses) == starts:
+            break
+    return misses

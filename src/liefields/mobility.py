@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import algebra as A, exactla, expr as E
+from . import algebra as A, exactla, expr as E, upoly
 from . import fields as F
 
 
@@ -39,52 +39,9 @@ _TOL = 1e-9
 _MAX_COMMENSURABLE_DEN = 64
 
 
-def _char_poly(M: Sequence[Sequence[Fraction]]) -> List[Fraction]:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of an exact
-    matrix, via the Faddeev-LeVerrier recurrence."""
-    n = len(M)
-    a = [[Fraction(v) for v in row] for row in M]
-    coeffs = [Fraction(1)]
-    Mk = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        Mk[i][i] = Fraction(1)
-    Ak = None
-    for k in range(1, n + 1):
-        Ak = _mat_mul(a, Mk) if k > 1 else a
-        ck = -sum(Ak[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        Mk = [row[:] for row in Ak]
-        for i in range(n):
-            Mk[i][i] += ck
-    return coeffs
-
-
-def _mat_mul(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
 def _eigenvalues(M: Sequence[Sequence[Fraction]]) -> list:
-    coeffs = [float(c) for c in _char_poly(M)]
+    coeffs = [float(c) for c in upoly.char_poly(M)]
     return list(np.roots(coeffs)) if len(coeffs) > 1 else []
-
-
-def _semisimple(M) -> bool:
-    """M is diagonalizable over C: the square-free part p / gcd(p, p') of its
-    characteristic polynomial p vanishes at M (exact)."""
-    p = _char_poly(M)
-    n = len(p) - 1
-    derivative = [(n - i) * c for i, c in enumerate(p[:-1])]
-    square_free, _ = _poly_divmod(p, _poly_gcd([p, derivative]))
-    a = [[Fraction(v) for v in row] for row in M]
-    value = [[Fraction(0)] * n for _ in range(n)]
-    for c in square_free:  # Horner
-        value = _mat_mul(value, a)
-        for i in range(n):
-            value[i][i] += c
-    return all(v == 0 for row in value for v in row)
 
 
 def _commensurable(omegas: Sequence[float]):
@@ -128,7 +85,7 @@ def _periodic_shape(M, eigs) -> Optional[float]:
             omegas.append(lam.imag)
     if not omegas:
         return None
-    if not _semisimple(M):
+    if not upoly.semisimple(M):
         return None
     if len(omegas) == 1:
         return omegas[0]
@@ -143,7 +100,12 @@ def classify_linear_one_param(M: Sequence[Sequence]) -> LinearMotionClass:
     ProjectivelyPeriodic(w, a): same after subtracting a common real part a
     from every eigenvalue. Spiral: an off-axis complex pair remains.
     RealHyperbolic: real spectrum with a nonzero eigenvalue. Nilpotent: all
-    eigenvalues zero with M != 0."""
+    eigenvalues zero with M != 0.
+
+    A non-semisimple M with a purely imaginary spectrum, such as a rotation
+    carrying a Jordan block (its flow grows like t), has no tag of its own:
+    it falls through to Spiral. upoly.periodicity decides it exactly (it
+    never returns)."""
     n = len(M)
     if n > 4:
         raise UnsupportedDimension("classification implemented for n <= 4")
@@ -188,50 +150,12 @@ def _homogeneous_matrix(B, a):
     ]
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """Rational roots of a monic rational-coefficient polynomial."""
-    # clear denominators
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    lead, tail = ints[0], ints[-1]
-    if tail == 0:
-        roots = [Fraction(0)]
-        reduced = coeffs[:-1]
-        return roots + [r for r in _rational_roots(reduced) if r != 0] if len(reduced) > 1 else roots
-    cands = set()
-    for pnum in _divisors(abs(tail)):
-        for pden in _divisors(abs(lead)):
-            cands |= {Fraction(pnum, pden), Fraction(-pnum, pden)}
-    out = []
-    for cand in cands:
-        val = Fraction(0)
-        for c in coeffs:
-            val = val * cand + c
-        if val == 0:
-            out.append(cand)
-    return sorted(out)
-
-
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def invariant_lines(M3) -> List[tuple]:
     """Real invariant lines of the projective flow with 3x3 homogeneous matrix
     M3: rational left eigenvectors l (l M = lambda l), reported exactly."""
-    coeffs = _char_poly(M3)
+    coeffs = upoly.char_poly(M3)
     lines = []
-    for lam in _rational_roots(coeffs):
+    for lam in upoly.rational_roots(coeffs):
         shifted = [[M3[j][i] - (lam if i == j else 0) for j in range(3)] for i in range(3)]
         for vec in exactla.nullspace(shifted):
             lines.append(tuple(vec))
@@ -362,7 +286,7 @@ def _common_fixed_direction_2d(mats):
     polys = []
     for J in mats:
         polys.append([J[0][1], J[0][0] - J[1][1], -J[1][0]])  # degree desc
-    g = _poly_gcd(polys)
+    g = upoly.gcd(polys)
     roots = _real_roots_deg_le2(g)
     if roots:
         s = roots[0]
@@ -372,41 +296,6 @@ def _common_fixed_direction_2d(mats):
 
 def _det2_prop(J, v):
     return J[0][0] * v[0] * v[1] + J[0][1] * v[1] * v[1] - J[1][0] * v[0] * v[0] - J[1][1] * v[0] * v[1]
-
-
-def _poly_trim(p):
-    while p and p[0] == 0:
-        p = p[1:]
-    return p
-
-
-def _poly_divmod(a, b):
-    """Quotient and remainder of a by a trimmed b, coefficients highest
-    degree first."""
-    a = _poly_trim(list(a))
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        q[len(q) - 1 - (len(a) - len(b))] = f
-        for i in range(len(b)):
-            a[i] -= f * b[i]
-        a = _poly_trim(a[1:])
-    return q, a
-
-
-def _poly_gcd(polys):
-    polys = [_poly_trim(p) for p in polys if _poly_trim(p)]
-    if not polys:
-        return []  # identically zero: every direction works
-    g = polys[0]
-    for p in polys[1:]:
-        a, b = g, p
-        while b:
-            a, b = b, _poly_divmod(a, b)[1]
-        g = a
-        if len(g) == 1:
-            return g
-    return g
 
 
 def _real_roots_deg_le2(g):
@@ -442,7 +331,7 @@ def _common_fixed_direction_3d(mats, rng):
             return tuple(v)
     weights = [Fraction(rng.randint(-9, 9)) for _ in mats]
     G = [[sum(w * J[i][j] for w, J in zip(weights, mats)) for j in range(n)] for i in range(n)]
-    for lam in _rational_roots(_char_poly(G)):
+    for lam in upoly.rational_roots(upoly.char_poly(G)):
         shifted = [[G[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
         for v in exactla.nullspace(shifted):
             if all(all(x == 0 for x in _cross(_apply(J, v), v)) for J in mats):

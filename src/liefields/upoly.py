@@ -1,0 +1,268 @@
+"""Exact univariate polynomials over Q and the spectral tests built on them:
+characteristic polynomial, square-free part and factorisation, rational
+roots, semisimplicity, and whether e^{TM} = I for some T > 0.
+
+A polynomial is a list of coefficients (Fraction or int), highest degree
+first; ``trim`` drops leading zeros and ``[]`` is the zero polynomial."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import List, NamedTuple, Optional, Sequence
+
+
+def trim(p) -> list:
+    """p without leading zeros."""
+    p = list(p)
+    while p and p[0] == 0:
+        p = p[1:]
+    return p
+
+
+def derivative(p) -> list:
+    n = len(p) - 1
+    return [(n - i) * c for i, c in enumerate(p[:-1])]
+
+
+def monic(p) -> list:
+    p = trim(p)
+    return [Fraction(c) / p[0] for c in p] if p else []
+
+
+def divide(a, b):
+    """Quotient and remainder of a by a trimmed nonzero b."""
+    a = trim(a)
+    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        f = Fraction(a[0]) / b[0]
+        q[len(q) - 1 - (len(a) - len(b))] = f
+        for i in range(len(b)):
+            a[i] -= f * b[i]
+        a = trim(a[1:])
+    return q, a
+
+
+def gcd(polys) -> list:
+    """A greatest common divisor of the polynomials by Euclid's algorithm, not
+    normalised; [] when all of them are zero."""
+    polys = [p for p in map(trim, polys) if p]
+    if not polys:
+        return []
+    g = polys[0]
+    for p in polys[1:]:
+        a, b = g, p
+        while b:
+            a, b = b, divide(a, b)[1]
+        g = a
+        if len(g) == 1:
+            return g
+    return g
+
+
+def square_free(p) -> list:
+    """The monic square-free part p / gcd(p, p'): the same roots, each once."""
+    return monic(divide(p, gcd([p, derivative(p)]))[0])
+
+
+def square_free_factors(p) -> List[tuple]:
+    """Yun's factorisation of a nonconstant p: pairs (s_k, k) of monic,
+    square-free, pairwise coprime factors of degree >= 1 with
+    monic(p) = prod s_k^k."""
+    p = monic(p)
+    dp = derivative(p)
+    g = gcd([p, dp])
+    c = divide(p, g)[0]
+    d = _subtract(divide(dp, g)[0], derivative(c))
+    out = []
+    k = 1
+    while len(c) > 1:
+        a = monic(gcd([c, d]))
+        c = divide(c, a)[0]
+        d = _subtract(divide(d, a)[0], derivative(c))
+        if len(a) > 1:
+            out.append((a, k))
+        k += 1
+    return out
+
+
+def _subtract(a, b) -> list:
+    width = max(len(a), len(b))
+    return [x - y for x, y in zip([0] * (width - len(a)) + a, [0] * (width - len(b)) + b)]
+
+
+def _divisors(n: int) -> List[int]:
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def rational_roots(p) -> List[Fraction]:
+    """The distinct rational roots of p != 0, in increasing order, from the
+    candidates num/den with num | p(0) and den | lead of the integer
+    polynomial (after dividing out the roots at 0)."""
+    p = trim(p)
+    roots = []
+    if p and p[-1] == 0:
+        roots.append(Fraction(0))
+        while p[-1] == 0:
+            p = p[:-1]
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    for num in _divisors(abs(ints[-1])):
+        for d in _divisors(abs(ints[0])):
+            for cand in {Fraction(num, d), Fraction(-num, d)}:
+                if cand not in roots and _value(p, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def _value(p, x):
+    acc = Fraction(0)
+    for c in p:  # Horner
+        acc = acc * x + c
+    return acc
+
+
+def char_poly(M: Sequence[Sequence]) -> List[Fraction]:
+    """Characteristic polynomial det(lambda I - M) = [1, c1, ..., cn] of an
+    exact matrix, by the Faddeev-LeVerrier recurrence."""
+    n = len(M)
+    a = [[Fraction(v) for v in row] for row in M]
+    coeffs = [Fraction(1)]
+    Mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        Ak = _mat_mul(a, Mk) if k > 1 else a
+        ck = -sum(Ak[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        Mk = [row[:] for row in Ak]
+        for i in range(n):
+            Mk[i][i] += ck
+    return coeffs
+
+
+def _mat_mul(A, B):
+    n = len(A)
+    return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _annihilates(p, M) -> bool:
+    """p(M) = 0, by Horner on matrices."""
+    n = len(M)
+    a = [[Fraction(v) for v in row] for row in M]
+    value = [[Fraction(0)] * n for _ in range(n)]
+    for c in p:
+        value = _mat_mul(value, a)
+        for i in range(n):
+            value[i][i] += c
+    return all(v == 0 for row in value for v in row)
+
+
+def semisimple(M) -> bool:
+    """M is diagonalizable over C: the square-free part of its
+    characteristic polynomial vanishes at M."""
+    return _annihilates(square_free(char_poly(M)), M)
+
+
+_SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
+
+
+def _power(base: str, k: int) -> str:
+    return base + (str(k).translate(_SUPERSCRIPT) if k > 1 else "")
+
+
+def _terms(p, var: str) -> str:
+    """p written out, such as ``λ²-2λ+1/2``."""
+    out = ""
+    n = len(p) - 1
+    for i, c in enumerate(p):
+        if c == 0:
+            continue
+        degree = n - i
+        size = abs(Fraction(c))
+        body = str(size) if degree == 0 else _power(var, degree)
+        if degree and size != 1:
+            body = (str(size) if size.denominator == 1 else f"({size})") + body
+        out += ("-" if c < 0 else "+" if out else "") + body
+    return out
+
+
+def to_string(p, var: str = "λ") -> str:
+    """A nonconstant p as its monic square-free factorisation, powers of
+    var first, such as ``λ²(λ²+1)²``."""
+    p = monic(p)
+    zeros = 0
+    while p[-1] == 0:
+        p, zeros = p[:-1], zeros + 1
+    parts = [_power(var, zeros)] if zeros else []
+    factors = square_free_factors(p) if len(p) > 1 else []
+    for s, k in factors:
+        text = _terms(s, var)
+        single = not parts and len(factors) == 1 and k == 1
+        parts.append(text if single else _power(f"({text})", k))
+    return "".join(parts)
+
+
+class Periodicity(NamedTuple):
+    """omega_squared is the square of the fundamental frequency, so that
+    e^{TM} = I exactly for T in (2 pi / omega) Z; None when e^{TM} != I for
+    every T > 0, and 0 for M = 0, where every T returns."""
+    omega_squared: Optional[Fraction]
+    reason: str
+
+
+def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
+
+
+def periodicity(M: Sequence[Sequence]) -> Periodicity:
+    """Whether e^{TM} = I for some T > 0, for a real matrix M with rational
+    entries, decided over Q. That holds iff
+    - M is semisimple,
+    - the square-free part of its characteristic polynomial is
+      lambda^e q(lambda^2), so that the nonzero eigenvalues are +-i omega_k
+      with omega_k^2 = -u_k for the roots u_k of q, and
+    - every root of q is a negative rational and every ratio of two roots is
+      a rational square, so that the omega_k are commensurable.
+    The rational-root test is complete: if the omega_k are pairwise
+    commensurable, every Galois conjugate of a root u of q is a positive
+    rational multiple r u of it, so u = trace(u) / sum(r) is rational.
+    The reason names the deciding property and shows the characteristic
+    polynomial."""
+    if all(v == 0 for row in M for v in row):
+        return Periodicity(Fraction(0), "zero")
+    p = char_poly(M)
+    s = square_free(p)
+    if s == [1, 0]:
+        return Periodicity(None, "nilpotent")
+    shown = to_string(p)
+    real = [r for r in rational_roots(s) if r != 0]
+    if real:
+        plural = "s" if len(real) > 1 else ""
+        return Periodicity(None, f"has real eigenvalue{plural} {', '.join(map(str, real))}")
+    r = s[:-1] if s[-1] == 0 else s
+    if len(r) % 2 == 0 or any(r[1::2]):
+        return Periodicity(None, f"has eigenvalues off the imaginary axis, charpoly {shown}")
+    if not _annihilates(s, M):
+        return Periodicity(None, f"is not semisimple, charpoly {shown}")
+    q = r[0::2]
+    roots = rational_roots(q)
+    if len(roots) < len(q) - 1:
+        return Periodicity(None, f"has an irrational root in λ², charpoly {shown}")
+    if roots[-1] > 0:
+        return Periodicity(None, f"has real eigenvalues ±√{roots[-1]}, charpoly {shown}")
+    squares = sorted(-u for u in roots)
+    ratios = [_rational_sqrt(w / squares[0]) for w in squares]
+    if None in ratios:
+        return Periodicity(None, f"has incommensurable frequencies, charpoly {shown}")
+    # omega_k = omega_1 * ratio_k; the fundamental omega is omega_1 * gcd(ratios)
+    lcm = math.lcm(*(f.denominator for f in ratios))
+    common = Fraction(math.gcd(*(int(f * lcm) for f in ratios)), lcm)
+    return Periodicity(squares[0] * common * common, f"semisimple, charpoly {shown}")

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from liefields import algebra as A, algfile, catalog as CAT, invariants as I
+from liefields import algebra as A, algfile, catalog as CAT, flows as FL, invariants as I
 from liefields import fields as F
 
 
@@ -172,7 +173,108 @@ class TestCheckRegistry:
         [check] = report.checks
         assert (check.name, check.expected, check.observed, check.status) == (
             "monodromy", True, True, "pass")
-        assert check.diagnostics.startswith("min distances: ")
+        assert check.diagnostics == "exact: affine, A nilpotent"
+
+
+def _monodromy_entry(vars, generator, period, fix_point=(), expected=None):
+    """An entry whose one claim is the monodromy of its first generator or,
+    with a fix_point, of the combination vanishing there and at the origin;
+    period None claims that it never returns."""
+    return CAT.CatalogEntry(
+        id="probe", source="", vars=vars, params=(), generators=generator,
+        expected=expected or CAT.Expected(transitive=False, monodromy=period is not None),
+        monodromy=CAT.MonodromySpec(fix_point=fix_point,
+                                    normalize_generator=None if fix_point else 0,
+                                    period=period))
+
+
+def _monodromy_check(entry):
+    [check] = CAT.verify_entry(entry, seed=0, checks=("monodromy",)).checks
+    return check
+
+
+V4 = ("x1", "x2", "x3", "x4")
+NEVER_RETURNS = ("ex94-24r", "ex95-30-1", "ex95-30-2", "ex95-30-3", "ex95-30-4",
+                 "ex95-30-5", "ex95-30-6")
+
+
+class TestExactMonodromy:
+    def test_ad_x_criterion_decides_the_curious_group(self):
+        check = _monodromy_check(CAT.entry_by_id("ex94-24"))
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == ("exact: ad X semisimple, charpoly λ²(λ²+1)², "
+                                     "returns at 6.283185307 (8 starts within 1e-6)")
+
+    def test_ad_x_criterion_decides_never_for_a_non_affine_field(self):
+        # sl2 on the line: X = x*(1 - x)*p fixes 0 and 1, and its trajectories tend to them
+        entry = _monodromy_entry(("x",), ("p", "x*p", "x^2*p"), None, fix_point=(1,),
+                                 expected=CAT.Expected(monodromy=False))
+        check = _monodromy_check(entry)
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == "exact: ad X has real eigenvalues -1, 1"
+
+    def test_affine_criterion_decides_the_rotation_form(self):
+        check = _monodromy_check(CAT.entry_by_id("ex95-30-7"))
+        assert check.diagnostics == ("exact: affine, A semisimple, charpoly λ(λ²+1), "
+                                     "returns at 6.283185307 (8 starts within 1e-6)")
+
+    def test_two_commensurable_frequencies_return_at_two_pi(self):
+        # omega = 1 and 2: the common period is 2*pi
+        entry = _monodromy_entry(V4, ("-x2*d1 + x1*d2 - 2*x4*d3 + 2*x3*d4",), 2 * math.pi)
+        check = _monodromy_check(entry)
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == ("exact: affine, A semisimple, charpoly λ(λ⁴+5λ²+4), "
+                                     "returns at 6.283185307 (8 starts within 1e-6)")
+
+    def test_incommensurable_frequencies_never_return(self, monkeypatch):
+        calls = _count_flows(monkeypatch)
+        # the linear part has characteristic polynomial (λ²+1)(λ²+2)
+        entry = _monodromy_entry(V4, ("-x2*d1 + x1*d2 - 2*x4*d3 + x3*d4",), None)
+        check = _monodromy_check(entry)
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == ("exact: affine, A has incommensurable frequencies, "
+                                     "charpoly λ(λ⁴+3λ²+2)")
+        assert calls == []
+
+    def test_numeric_fallback_is_labelled(self):
+        # the rotation in the coordinates (x, y + x^2): non-affine, and its
+        # one-dimensional algebra has ad X = 0, so neither criterion applies
+        entry = _monodromy_entry(("x", "y"), ("-(y + x^2)*p + (x + 2*x*y + 2*x^3)*q",),
+                                 2 * math.pi)
+        check = _monodromy_check(entry)
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == "numeric: returns at 6.283185307"
+
+    def test_periodic_ad_x_needs_a_zero_where_the_algebra_is_transitive(self):
+        # X = (1 + x^2)*p: ad X rotates sl2 with period pi, but X vanishes
+        # nowhere, and in this chart its flow runs off to infinity
+        entry = _monodromy_entry(("x",), ("p + x^2*p", "x*p", "p - x^2*p"), None,
+                                 expected=CAT.Expected(monodromy=False))
+        check = _monodromy_check(entry)
+        assert (check.observed, check.status) == (True, "pass")
+        assert check.diagnostics == "numeric: no start moves inside the domain"
+
+    def test_never_claims_integrate_nothing(self, monkeypatch):
+        calls = _count_flows(monkeypatch)
+        checks = [c for eid in NEVER_RETURNS
+                  for c in CAT.verify_entry(CAT.entry_by_id(eid), seed=0,
+                                            checks=("monodromy",)).checks]
+        assert len(checks) == 13
+        assert all(c.status == "pass" and c.diagnostics.startswith("exact: ") for c in checks)
+        assert calls == []
+
+    def test_cross_check_failure_fails_the_claim(self, monkeypatch):
+        monkeypatch.setattr(FL, "return_misses", lambda *args, **kwargs: [1e-3] * 8)
+        check = _monodromy_check(CAT.entry_by_id("ex95-30-7"))
+        assert (check.observed, check.status) == (False, "fail")
+        assert check.diagnostics.endswith("period 6.283185307, but a start misses by 1.000e-03")
+
+
+def _count_flows(monkeypatch) -> list:
+    """Record every numeric_flow call from here on."""
+    calls, flow = [], FL.numeric_flow
+    monkeypatch.setattr(FL, "numeric_flow", lambda *a, **k: calls.append(a) or flow(*a, **k))
+    return calls
 
 
 class TestReducedGroupTable:

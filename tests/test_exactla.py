@@ -96,6 +96,12 @@ class TestRankAndKernel:
         assert not ok
         assert x[0] == Fraction(3)
 
+    def test_int_pivots_give_fractions(self):
+        # an int pivot is inverted over Q, not as a float
+        assert typed(exactla.nullspace([[3, 1]])) == typed([[Fraction(-1, 3), Fraction(1)]])
+        [(x, ok)] = exactla.solve([[3]], [[1]])
+        assert ok and typed(x) == typed([Fraction(1, 3)])
+
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=2, max_size=4))
     @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from liefields import algebra as A, mobility as M
+from liefields import algebra as A, mobility as M, upoly
 
 
 V3 = ["x", "y", "z"]
@@ -58,6 +58,12 @@ class TestClassification:
         # a diagonalizable zero block next to a rotation stays periodic
         assert M.classify_linear_one_param(
             [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]).tag == "Periodic"
+
+    def test_jordan_block_rotation_falls_through_to_spiral(self):
+        # the documented fall-through: purely imaginary spectrum, not semisimple
+        jordan = [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]]
+        assert M.classify_linear_one_param(jordan).tag == "Spiral"
+        assert upoly.periodicity(jordan) == (None, "is not semisimple, charpoly (λ²+1)²")
 
     def test_commensurable_pairs_share_period(self):
         cls = M.classify_linear_one_param(
