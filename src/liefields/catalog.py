@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, List, Mapping, NamedTuple, Optional, Sequence
 
-from . import algebra as A, exactla, expr as E, flows as FL, invariants as I, mobility as M, upoly
+from . import algebra as A, exactla, expr as E, invariants as I, mobility as M
 from . import fields as F
 
 _STANDARD_SAMPLES = (Fraction(-2), Fraction(-1, 3), Fraction(1, 2), Fraction(3))
@@ -435,22 +435,14 @@ def _reduced_counterexamples() -> List[CatalogEntry]:
 
 
 def _seven_forms() -> List[CatalogEntry]:
-    forms = [
-        ("ex95-30-1", "p + y*q", None),
-        ("ex95-30-2", "p + x*q", None),
-        ("ex95-30-3", "y*q", None),
-        ("ex95-30-4", "q", None),
-        ("ex95-30-5", "x*p + c*y*q", "c != 0, 1"),
-        ("ex95-30-6", "y*p - x*q + c*(x*p + y*q)", "c != 0"),
-        ("ex95-30-7", "y*p - x*q", None),
-    ]
     out = []
-    for idx, (eid, gen, constraint) in enumerate(forms, start=1):
-        params = ("c",) if "c" in gen else ()
+    for idx, (gen, excluded) in enumerate(M.SEVEN_FORMS, start=1):
+        params = ("c",) if excluded else ()
         samples = tuple((c,) for c in _STANDARD_SAMPLES) if params else ()
         out.append(CatalogEntry(
-            id=eid, source=f"one-parameter normal form {idx} of the list (30)",
-            vars=V2, params=params, constraint=constraint or "",
+            id=f"ex95-30-{idx}", source=f"one-parameter normal form {idx} of the list (30)",
+            vars=V2, params=params,
+            constraint=f"c != {', '.join(map(str, excluded))}" if excluded else "",
             param_samples=samples,
             generators=(gen,),
             expected=Expected(transitive=False, monodromy=(idx == 7)),
@@ -576,10 +568,8 @@ _RETURN_TOL = 1e-6   # return distance and period agreement of a monodromy claim
 
 def _monodromy(ctx, pv, seed):
     """Whether the spec's period, or its absence, is found: the report's
-    expected value is always True. X is decided exactly where one of the
-    criteria of _exact_period applies; a period found that way is
-    cross-checked by integrating once over it from each start point. Any
-    other X falls back to the numeric first-return search."""
+    expected value is always True. mobility.return_period decides it, exactly
+    where it can; a period that its integration does not confirm fails."""
     spec, L = ctx.entry.monodromy, ctx.L
     if spec.fix_point:
         fix = [[Fraction(0)] * L.dim, [Fraction(v) for v in spec.fix_point]]
@@ -597,96 +587,14 @@ def _monodromy(ctx, pv, seed):
         fix, vec = [], [Fraction(int(s == 0)) for s in range(len(L.generators))]
         X = F.substitute_params(L.generators[0], pv)
         start = F.Point(tuple(Fraction(1, 2) + Fraction(k, 7) for k in range(L.dim)))
-    decided = _exact_period(ctx, X, vec, fix, pv)
-    if decided is None:
-        period, diag = FL.monodromy_period(X, start, t_max=spec.t_max, steps=20000,
-                                           seed=seed, scale=0.5)
-        misses = ", ".join(f"{d:.3e}" for _, t, d in diag[:4] if t is None)
-        note = "numeric: " + (f"min distances: {misses}" if misses else
-                              f"returns at {period:.9f}" if period else
-                              "no common return" if diag else "no start moves inside the domain")
-    else:
-        omega_squared, note = decided
-        if omega_squared is None:
-            return spec.period is None, note
-        period = 2 * math.pi / math.sqrt(omega_squared)
-        misses = FL.return_misses(X, start, period, steps=20000, starts=8, seed=seed, scale=0.5)
-        worst = max(misses, default=math.inf)
-        if len(misses) < 8 or not worst < _RETURN_TOL:
-            return False, f"{note}, period {period:.9f}, but a start misses by {worst:.3e}"
-        note += f", returns at {period:.9f} (8 starts within 1e-6)"
+    try:
+        period, note = M.return_period(L, X, vec, start, fix, pv, lambda: ctx.constants,
+                                       t_max=spec.t_max, tol=_RETURN_TOL, seed=seed, scale=0.5)
+    except M.ReturnMismatch as err:
+        return False, str(err)
     if spec.period is None:
         return period is None, note
     return period is not None and abs(period - spec.period) < _RETURN_TOL, note
-
-
-def _exact_period(ctx, X, vec, fix, pv):
-    """(omega^2, note) when an exact criterion decides whether X = sum_s
-    vec_s X_s has a period, omega^2 None for never; None when neither does.
-    (i) X affine: its flow is e^{tA}, A the augmented matrix of _affine_matrix.
-    (ii) Otherwise ad X: exp(TX) = id implies e^{T ad X} = I, so when that
-    never holds X never returns. Conversely, when e^{T ad X} = I, exp(TX) is
-    central; if X vanishes at a point p where the generators have rank n,
-    exp(TX) fixes p and so every point of its (open) orbit: X returns at T."""
-    augmented = _affine_matrix(X)
-    if augmented is not None:
-        omega_squared, reason = upoly.periodicity(augmented)
-        if omega_squared != 0:
-            return omega_squared, f"exact: affine, A {reason}"
-    ad = _ad_matrix(ctx, vec, pv)
-    if ad is None:
-        return None
-    omega_squared, reason = upoly.periodicity(ad)
-    if omega_squared is None:
-        return None, f"exact: ad X {reason}"
-    if omega_squared and any(_fixed_in_open_orbit(ctx.L, X, p, pv) for p in fix):
-        return omega_squared, f"exact: ad X {reason}"
-    return None
-
-
-def _affine_matrix(X):
-    """The (n+1)x(n+1) matrix [[B, a], [0, 0]] of X = Bx + a, whose
-    exponential moves (x, 1); None when X is not of that form with constant
-    B and a."""
-    n = X.dim
-    augmented = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i, c in enumerate(X.coeffs):
-        if not E.is_polynomial(c):
-            return None
-        for expo, coef in E.poly_coefficients(c, n).items():
-            value = coef.constant_value()
-            if sum(expo) > 1 or value is None:
-                return None
-            augmented[i][expo.index(1) if sum(expo) else n] = value
-    return augmented
-
-
-def _ad_matrix(ctx, vec, pv):
-    """The matrix of ad X on the generators, (ad X)_tk = sum_s vec_s c_sk^t
-    from the structure constants; None when the algebra is not closed or a
-    constant is left depending on the parameters."""
-    try:
-        c = ctx.constants.c
-    except A.NotClosedError:
-        return None
-    r = len(vec)
-    ad = [[Fraction(0)] * r for _ in range(r)]
-    for s, weight in enumerate(vec):
-        if not weight:
-            continue
-        for k in range(r):
-            for t in range(r):
-                value = (E.substitute_params(c[s][k][t], pv) if pv else c[s][k][t]).constant_value()
-                if value is None:
-                    return None
-                ad[t][k] += weight * value
-    return ad
-
-
-def _fixed_in_open_orbit(L, X, p, pv) -> bool:
-    """X vanishes at p and the generators span the tangent space there."""
-    return (not any(F.evaluate_exact_at(X, p))
-            and exactla.rank([F.evaluate_exact_at(g, p, pv) for g in L.generators]) == L.dim)
 
 
 def _free_mobility(ctx, pv, seed):

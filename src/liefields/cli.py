@@ -250,14 +250,11 @@ def _dispatch(args, seed: int) -> int:
                 X = X + (E.const(w) * g)
         X = F.substitute_params(X, pv)
         _require_instantiated(X, af)
-        start = _parse_point(args.start)
-        period, diag = FL.monodromy_period(X, F.Point(start), t_max=args.t_max,
-                                           tol=args.tol, steps=args.steps, seed=seed)
-        if period is None:
-            misses = ", ".join(_fmt(d) for _, t, d in diag[:4])
-            print(f"None (min distances: {misses})")
-        else:
-            print(f"period {_fmt(period)}")
+        start = F.Point(_parse_point(args.start))
+        period, note = M.return_period(L, X, weights, start, param_values=pv, t_max=args.t_max,
+                                       steps=args.steps, tol=args.tol, seed=seed)
+        verdict = "None" if period is None else f"period {_fmt(period)}"
+        print(f"{verdict} ({note})")
         return 0
 
     if args.command == "mobility":

@@ -380,22 +380,6 @@ def fn(kind: int, arg: Expr) -> Expr:
     return Expr((((((_F, kind, arg), 1),), Fraction(1)),))
 
 
-def log(arg: Expr) -> Expr:
-    return fn(LOG, arg)
-
-
-def exp_(arg: Expr) -> Expr:
-    return fn(EXP, arg)
-
-
-def atan(arg: Expr) -> Expr:
-    return fn(ATAN, arg)
-
-
-def sqrt(arg: Expr) -> Expr:
-    return fn(SQRT, arg)
-
-
 # ---------------------------------------------------------------------------
 # calculus
 

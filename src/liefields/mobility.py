@@ -1,6 +1,7 @@
-"""Mobility criteria: eigenvalue classification of linear one-parameter
-motions, the seven planar projective normal forms, free mobility in the
-infinitesimal for ambient dimension 2 and 3, Killing-form diagnostics."""
+"""Mobility criteria: exact classification of linear one-parameter motions,
+the return period of a one-parameter subgroup, the seven planar projective
+normal forms, free mobility in the infinitesimal for ambient dimension 2
+and 3, Killing-form diagnostics."""
 
 from __future__ import annotations
 
@@ -8,11 +9,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import algebra as A, exactla, expr as E, upoly
+from . import algebra as A, exactla, expr as E, flows as FL, upoly
 from . import fields as F
 
 
@@ -35,119 +36,182 @@ class MobilityVerdict:
     witness: Optional[tuple] = None
 
 
-_TOL = 1e-9
-_MAX_COMMENSURABLE_DEN = 64
-
-
-def _eigenvalues(M: Sequence[Sequence[Fraction]]) -> list:
-    coeffs = [float(c) for c in upoly.char_poly(M)]
-    return list(np.roots(coeffs)) if len(coeffs) > 1 else []
-
-
-def _commensurable(omegas: Sequence[float]):
-    """Fundamental angular frequency when all omegas are rational multiples of
-    each other with denominators up to 64, else None."""
-    base = omegas[0]
-    nums = []
-    dens = []
-    for w in omegas:
-        ratio = w / base
-        frac = Fraction(ratio).limit_denominator(_MAX_COMMENSURABLE_DEN)
-        if abs(float(frac) - ratio) > 1e-7:
-            return None
-        nums.append(frac.numerator)
-        dens.append(frac.denominator)
-    # w_k = base * num_k / den_k ; fundamental = base / lcm(den) * gcd(num)... work with periods
-    lcm = 1
-    for d in dens:
-        lcm = lcm * d // math.gcd(lcm, d)
-    scaled = [n * (lcm // d) for n, d in zip(nums, dens)]
-    g = 0
-    for s in scaled:
-        g = math.gcd(g, s)
-    return base * g / lcm
-
-
-def _periodic_shape(M, eigs) -> Optional[float]:
-    """Fundamental omega when nonzero eigenvalues are pure-imaginary
-    conjugate pairs with commensurable frequencies and M is diagonalizable;
-    None otherwise."""
-    scale = max((abs(l) for l in eigs), default=0.0)
-    if scale == 0.0:
-        return None
-    omegas = []
-    for lam in eigs:
-        if abs(lam) < _TOL * scale:
-            continue
-        if abs(lam.real) > _TOL * scale:
-            return None
-        if lam.imag > 0:
-            omegas.append(lam.imag)
-    if not omegas:
-        return None
-    if not upoly.semisimple(M):
-        return None
-    if len(omegas) == 1:
-        return omegas[0]
-    return _commensurable(sorted(omegas))
-
-
 def classify_linear_one_param(M: Sequence[Sequence]) -> LinearMotionClass:
-    """Classify the flow of x' = M x by the eigenvalue multiset (n <= 4).
+    """Classify the flow of x' = M x for a square matrix of exact entries (int
+    or Fraction) of any size, decided over Q. A float entry raises TypeError:
+    its exact value is a dyadic rational, so a float standing for an
+    irrational number would be decided as that rational.
 
-    Zero: M = 0. Periodic(w): nonzero eigenvalues are conjugate pure-imaginary
-    pairs with a common fundamental frequency and diagonalizable zero block.
-    ProjectivelyPeriodic(w, a): same after subtracting a common real part a
-    from every eigenvalue. Spiral: an off-axis complex pair remains.
-    RealHyperbolic: real spectrum with a nonzero eigenvalue. Nilpotent: all
-    eigenvalues zero with M != 0.
+    Zero: M = 0. Nilpotent: M != 0 with every eigenvalue 0. Periodic(w):
+    e^{TM} = I at T = 2 pi / w (upoly.periodicity). ProjectivelyPeriodic(w, a):
+    the same for M - a I with a = tr M / n != 0, so the flow returns up to the
+    factor e^{aT}. Spiral: a non-real eigenvalue remains. RealHyperbolic: a
+    real spectrum with a nonzero eigenvalue. Only the reported eigenvalues are
+    floats (numpy roots of the characteristic polynomial).
 
     A non-semisimple M with a purely imaginary spectrum, such as a rotation
     carrying a Jordan block (its flow grows like t), has no tag of its own:
-    it falls through to Spiral. upoly.periodicity decides it exactly (it
-    never returns)."""
-    n = len(M)
-    if n > 4:
-        raise UnsupportedDimension("classification implemented for n <= 4")
-    exact = [[Fraction(v) if not isinstance(v, float) else Fraction(v).limit_denominator(10**9)
-              for v in row] for row in M]
+    it falls through to Spiral."""
+    if any(isinstance(v, float) for row in M for v in row):
+        raise TypeError("classify_linear_one_param needs exact entries, got a float")
+    exact = [[Fraction(v) for v in row] for row in M]
+    n = len(exact)
     if all(v == 0 for row in exact for v in row):
         return LinearMotionClass("Zero", eigenvalues=())
-    eigs = _eigenvalues(exact)
-    eig_tuple = tuple(complex(l) for l in eigs)
-    scale = max(abs(l) for l in eigs)
-    if scale < 1e-12:
-        return LinearMotionClass("Nilpotent", eigenvalues=eig_tuple)
-    omega = _periodic_shape(exact, eigs)
-    if omega is not None:
-        return LinearMotionClass("Periodic", omega=omega, eigenvalues=eig_tuple)
-    has_complex = any(abs(l.imag) > _TOL * scale for l in eigs)
-    if has_complex:
-        trace = sum(exact[i][i] for i in range(n))
-        shift = trace / n
-        if all(abs(l.real - float(shift)) < 1e-7 * max(1.0, scale) for l in eigs):
-            shifted = [[exact[i][j] - (shift if i == j else 0) for j in range(n)]
-                       for i in range(n)]
-            eigs_shifted = _eigenvalues(shifted)
-            omega = _periodic_shape(shifted, eigs_shifted)
-            if omega is not None and shift != 0:
-                return LinearMotionClass("ProjectivelyPeriodic", omega=omega,
-                                         shift=float(shift), eigenvalues=eig_tuple)
-        return LinearMotionClass("Spiral", eigenvalues=eig_tuple)
-    return LinearMotionClass("RealHyperbolic", eigenvalues=eig_tuple)
+    p = upoly.char_poly(exact)
+    eigs = tuple(complex(l) for l in np.roots([float(c) for c in p]))
+    s = upoly.square_free(p)
+    if s == [1, 0]:
+        return LinearMotionClass("Nilpotent", eigenvalues=eigs)
+    omega_squared, _ = upoly.periodicity(exact)
+    if omega_squared:
+        return LinearMotionClass("Periodic", omega=math.sqrt(omega_squared), eigenvalues=eigs)
+    shift = sum(exact[i][i] for i in range(n)) / n
+    if shift:
+        shifted = [[v - (shift if i == j else 0) for j, v in enumerate(row)]
+                   for i, row in enumerate(exact)]
+        omega_squared, _ = upoly.periodicity(shifted)
+        if omega_squared:
+            return LinearMotionClass("ProjectivelyPeriodic", omega=math.sqrt(omega_squared),
+                                     shift=float(shift), eigenvalues=eigs)
+    if upoly.real_root_count(s) < len(s) - 1:
+        return LinearMotionClass("Spiral", eigenvalues=eigs)
+    return LinearMotionClass("RealHyperbolic", eigenvalues=eigs)
+
+
+def affine_matrix(X: F.VectorField) -> Optional[List[List[Fraction]]]:
+    """The (n+1)x(n+1) matrix [[B, a], [0, 0]] of X = Bx + a, whose
+    exponential moves (x, 1); None when X is not of that form with constant
+    B and a."""
+    n = X.dim
+    augmented = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for i, c in enumerate(X.coeffs):
+        if not E.is_polynomial(c):
+            return None
+        for expo, coef in E.poly_coefficients(c, n).items():
+            value = coef.constant_value()
+            if sum(expo) > 1 or value is None:
+                return None
+            augmented[i][expo.index(1) if sum(expo) else n] = value
+    return augmented
+
+
+# ---------------------------------------------------------------------------
+# the return period of a one-parameter subgroup
+
+
+class ReturnMismatch(ValueError):
+    """An exact period that one integration over it does not confirm."""
+
+
+def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[Fraction],
+                  start: F.Point, fix: Sequence[Sequence[Fraction]] = (), param_values=None,
+                  constants: Optional[Callable[[], A.StructureConstants]] = None,
+                  t_max: float = 20.0, steps: int = 20000, tol: float = 1e-6, seed: int = 0,
+                  scale: float = 1.0) -> Tuple[Optional[float], str]:
+    """The first return time of X = sum_s vec_s X_s, the generators of L with
+    param_values put in, or None when it never returns; and a note on how that
+    was decided.
+
+    X is decided exactly where one of the criteria of _exact_period applies,
+    and the note starts with ``exact: ``. A period found that way is
+    cross-checked by integrating once over it, with `steps` RK4 steps, from
+    each of the eight start points of flows.monodromy_period around `start`;
+    a miss of tol or more raises ReturnMismatch. Any other X falls back to
+    flows.monodromy_period with t_max, tol and steps, and the note starts with
+    ``numeric: ``. Start points are drawn around `start` at `scale`. `fix`
+    lists the candidate fixed points of criterion (ii). `constants` returns
+    the structure constants of L, A.check_closure(L) by default; it is
+    called only when criterion (ii) needs them."""
+    decided = _exact_period(L, X, vec, fix, param_values,
+                            constants or (lambda: A.check_closure(L)))
+    if decided is None:
+        period, diag = FL.monodromy_period(X, start, t_max=t_max, tol=tol, steps=steps,
+                                           seed=seed, scale=scale)
+        misses = ", ".join(f"{d:.3e}" for _, t, d in diag[:4] if t is None)
+        return period, "numeric: " + (f"min distances: {misses}" if misses else
+                                      f"returns at {period:.9f}" if period else
+                                      "no common return" if diag else
+                                      "no start moves inside the domain")
+    omega_squared, note = decided
+    if omega_squared is None:
+        return None, note
+    period = 2 * math.pi / math.sqrt(omega_squared)
+    misses = FL.return_misses(X, start, period, steps=steps, starts=8, seed=seed, scale=scale)
+    worst = max(misses, default=math.inf)
+    if len(misses) < 8 or not worst < tol:
+        raise ReturnMismatch(f"{note}, period {period:.9f}, but a start misses by {worst:.3e}")
+    within = f"{tol:g}".replace("e-0", "e-")  # 1e-6, not 1e-06
+    return period, f"{note}, returns at {period:.9f} (8 starts within {within})"
+
+
+def _exact_period(L, X, vec, fix, pv, constants):
+    """(omega^2, note) when an exact criterion decides whether X = sum_s
+    vec_s X_s has a period, omega^2 None for never; None when neither does.
+    (i) X affine: its flow is e^{tA}, A the augmented matrix of affine_matrix.
+    (ii) Otherwise ad X: exp(TX) = id implies e^{T ad X} = I, so when that
+    never holds X never returns. Conversely, when e^{T ad X} = I, exp(TX) is
+    central; if X vanishes at a point p where the generators have rank n,
+    exp(TX) fixes p and so every point of its (open) orbit: X returns at T."""
+    augmented = affine_matrix(X)
+    if augmented is not None:
+        omega_squared, reason = upoly.periodicity(augmented)
+        if omega_squared != 0:
+            return omega_squared, f"exact: affine, A {reason}"
+    ad = _ad_matrix(constants, vec, pv)
+    if ad is None:
+        return None
+    omega_squared, reason = upoly.periodicity(ad)
+    if omega_squared is None:
+        return None, f"exact: ad X {reason}"
+    if omega_squared and any(_fixed_in_open_orbit(L, X, p, pv) for p in fix):
+        return omega_squared, f"exact: ad X {reason}"
+    return None
+
+
+def _ad_matrix(constants, vec, pv):
+    """The matrix of ad X on the generators, (ad X)_tk = sum_s vec_s c_sk^t
+    from the structure constants; None when the algebra is not closed or a
+    constant is left depending on the parameters."""
+    try:
+        c = constants().c
+    except A.NotClosedError:
+        return None
+    r = len(vec)
+    ad = [[Fraction(0)] * r for _ in range(r)]
+    for s, weight in enumerate(vec):
+        if not weight:
+            continue
+        for k in range(r):
+            for t in range(r):
+                value = (E.substitute_params(c[s][k][t], pv) if pv else c[s][k][t]).constant_value()
+                if value is None:
+                    return None
+                ad[t][k] += weight * value
+    return ad
+
+
+def _fixed_in_open_orbit(L, X, p, pv) -> bool:
+    """X vanishes at p and the generators span the tangent space there."""
+    return (not any(F.evaluate_exact_at(X, p))
+            and exactla.rank([F.evaluate_exact_at(g, p, pv) for g in L.generators]) == L.dim)
 
 
 # ---------------------------------------------------------------------------
 # the seven planar projective one-parameter normal forms
 
 
-def _homogeneous_matrix(B, a):
-    """3x3 matrix of the affine field a + Bx on homogeneous (x, y, w)."""
-    return [
-        [Fraction(B[0][0]), Fraction(B[0][1]), Fraction(a[0])],
-        [Fraction(B[1][0]), Fraction(B[1][1]), Fraction(a[1])],
-        [Fraction(0), Fraction(0), Fraction(0)],
-    ]
+# The list (30): the field literal in (x, y) and the values its parameter c
+# may not take.
+SEVEN_FORMS = (
+    ("p + y*q", ()),
+    ("p + x*q", ()),
+    ("y*q", ()),
+    ("q", ()),
+    ("x*p + c*y*q", (0, 1)),
+    ("y*p - x*q + c*(x*p + y*q)", (0,)),
+    ("y*p - x*q", ()),
+)
 
 
 def invariant_lines(M3) -> List[tuple]:
@@ -204,14 +268,19 @@ class FormRow:
 
 
 def classify_seven_forms(c_samples: Sequence[Fraction] = (Fraction(-2), Fraction(1, 2), Fraction(3))) -> List[FormRow]:
-    """The seven planar projective one-parameter normal forms, classified by
-    exact eigen-structure of their homogeneous 3x3 matrices. Exactly one form
-    (the rotation) is periodic on line elements; the first five keep a real
-    line with fixed points (witness reported), the sixth is a spiral."""
+    """The seven planar projective one-parameter normal forms of SEVEN_FORMS,
+    each with the first allowed c sample, classified by the exact
+    eigen-structure of their homogeneous 3x3 matrices. Exactly one form (the
+    rotation) is periodic on line elements; the first five keep a real line
+    with fixed points (witness reported), the sixth is a spiral."""
     rows = []
-
-    def add(index, label, B, a, c_value=None):
-        M3 = _homogeneous_matrix(B, a)
+    for index, (literal, excluded) in enumerate(SEVEN_FORMS, start=1):
+        label, values = literal, {}
+        if excluded:
+            c = next(c for c in c_samples if c not in excluded)
+            label, values = f"{literal} (c={c})", {0: c}
+        X = F.substitute_params(F.parse_field(literal, ("x", "y"), ("c",)), values)
+        M3 = affine_matrix(X)
         cls = classify_linear_one_param(M3)
         witness = None
         if cls.tag not in ("Periodic", "ProjectivelyPeriodic", "Spiral"):
@@ -223,16 +292,6 @@ def classify_seven_forms(c_samples: Sequence[Fraction] = (Fraction(-2), Fraction
                     witness = describe_line(line)
                     break
         rows.append(FormRow(index, label, cls, witness))
-
-    add(1, "p + eta*q", [[0, 0], [0, 1]], (1, 0))
-    add(2, "p + xi*q", [[0, 0], [1, 0]], (1, 0))
-    add(3, "eta*q", [[0, 0], [0, 1]], (0, 0))
-    add(4, "q", [[0, 0], [0, 0]], (0, 1))
-    c5 = next(c for c in c_samples if c not in (0, 1))
-    add(5, f"xi*p + c*eta*q (c={c5})", [[1, 0], [0, c5]], (0, 0))
-    c6 = next(c for c in c_samples if c != 0)
-    add(6, f"eta*p - xi*q + c*(xi*p + eta*q) (c={c6})", [[c6, 1], [-1, c6]], (0, 0))
-    add(7, "eta*p - xi*q", [[0, 1], [-1, 0]], (0, 0))
     periodic = [r for r in rows if r.classification.tag in ("Periodic", "ProjectivelyPeriodic")]
     assert len(periodic) == 1 and periodic[0].index == 7, "normal-form table corrupted"
     return rows

@@ -1,6 +1,7 @@
 """Exact univariate polynomials over Q and the spectral tests built on them:
-characteristic polynomial, square-free part and factorisation, rational
-roots, semisimplicity, and whether e^{TM} = I for some T > 0.
+characteristic polynomial, square-free part and factorisation, Sturm counts
+of real roots, rational roots, semisimplicity, and whether e^{TM} = I for
+some T > 0.
 
 A polynomial is a list of coefficients (Fraction or int), highest degree
 first; ``trim`` drops leading zeros and ``[]`` is the zero polynomial."""
@@ -91,35 +92,80 @@ def _subtract(a, b) -> list:
     return [x - y for x, y in zip([0] * (width - len(a)) + a, [0] * (width - len(b)) + b)]
 
 
-def _divisors(n: int) -> List[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _sturm(p) -> list:
+    """The Sturm sequence of the square-free part s of p != 0: s, s', then
+    each negated remainder, down to a nonzero constant; each scaled by a
+    positive integer to integer coefficients, which keeps its signs."""
+    s = square_free(p)
+    seq = [s, derivative(s)] if len(s) > 1 else [s]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in divide(seq[-2], seq[-1])[1]])
+    return [_integral(q) for q in seq]
+
+
+def _integral(q) -> List[int]:
+    """q times the lcm of its denominators."""
+    scale = math.lcm(*(Fraction(c).denominator for c in q))
+    return [int(c * scale) for c in q]
+
+
+def _sign_changes(seq, x: Fraction) -> int:
+    """Sign changes along the integer sequence at x, zeros skipped. For a
+    Sturm sequence, changes(a) - changes(b) is the number of distinct real
+    roots in (a, b], for any a < b."""
+    num, den = x.numerator, x.denominator
+    signs = []
+    for q in seq:
+        value, power = q[0], 1   # den^deg q(x), by Horner in integers
+        for c in q[1:]:
+            power *= den
+            value = value * num + c * power
+        if value:
+            signs.append(value > 0)
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _root_bound(s) -> Fraction:
+    """A bound strictly above |x| for every root x of s (Cauchy)."""
+    return 1 + Fraction(max(abs(c) for c in s), abs(s[0]))
+
+
+def real_root_count(p) -> int:
+    """The number of distinct real roots of p != 0, by Sturm's theorem."""
+    seq = _sturm(p)
+    bound = _root_bound(seq[0])
+    return _sign_changes(seq, -bound) - _sign_changes(seq, bound)
 
 
 def rational_roots(p) -> List[Fraction]:
-    """The distinct rational roots of p != 0, in increasing order, from the
-    candidates num/den with num | p(0) and den | lead of the integer
-    polynomial (after dividing out the roots at 0)."""
-    p = trim(p)
-    roots = []
-    if p and p[-1] == 0:
-        roots.append(Fraction(0))
-        while p[-1] == 0:
-            p = p[:-1]
-    den = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    for num in _divisors(abs(ints[-1])):
-        for d in _divisors(abs(ints[0])):
-            for cand in {Fraction(num, d), Fraction(-num, d)}:
-                if cand not in roots and _value(p, cand) == 0:
-                    roots.append(cand)
+    """The distinct rational roots of p != 0, in increasing order.
+
+    Let a s, with a > 0, be the square-free part of p as an integer polynomial
+    with leading coefficient a. A rational root has a denominator dividing a
+    (rational root theorem), and two fractions with denominators up to a lie
+    at least 1/a^2 apart. So bisection by Sturm counts isolates the real
+    roots in intervals (lo, hi] of width below 1/(2 a^2); the fraction with
+    denominator up to a nearest hi is the interval's only rational
+    candidate, kept when it is a root."""
+    seq = _sturm(p)
+    s = seq[0]
+    lead = s[0]
+    width = Fraction(1, 2 * lead * lead)
+    bound = _root_bound(s)
+    roots = set()
+    stack = [(-bound, _sign_changes(seq, -bound), bound, _sign_changes(seq, bound))]
+    while stack:
+        lo, changes_lo, hi, changes_hi = stack.pop()
+        if changes_lo == changes_hi:
+            continue
+        if hi - lo < width:
+            candidate = hi.limit_denominator(lead)
+            if _value(s, candidate) == 0:
+                roots.add(candidate)
+            continue
+        mid = (lo + hi) / 2
+        changes_mid = _sign_changes(seq, mid)
+        stack += [(lo, changes_lo, mid, changes_mid), (mid, changes_mid, hi, changes_hi)]
     return sorted(roots)
 
 

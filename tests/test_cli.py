@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from liefields import cli
+from liefields import cli, flows as FL
 
 
 EUCLID_ALG = """\
@@ -157,6 +157,23 @@ class TestFlowAndMonodromy:
              "--from", "1,1/2,0", "--t-max", "10"], capsys)
         assert code == 0
         assert out.startswith("period 6.28318530718")
+
+    def test_monodromy_decided_exactly_without_integration(self, capsys, monkeypatch):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("numeric_flow called")
+
+        monkeypatch.setattr(FL, "numeric_flow", no_integration)
+        code, out, _ = run(["monodromy", str(ALGEBRAS / "ex95-30-1.alg"), "--gen-combo", "1",
+                            "--from", "1/2,1/3"], capsys)
+        assert code == 0
+        assert out == "None (exact: affine, A has real eigenvalue 1)\n"
+
+    def test_monodromy_exact_period_not_confirmed_fails(self, euclid_file, capsys):
+        # five RK4 steps over 2*pi miss the start: the exact period is not confirmed
+        code, out, err = run(["monodromy", euclid_file, "--gen-combo", "0,0,0,1,0,0",
+                              "--from", "1,1/2,0", "--steps", "5"], capsys)
+        assert code == 1 and not out
+        assert err.startswith("error: exact: affine, A semisimple") and "misses by" in err
 
 
 class TestUsageErrors:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liefields import algebra as A, mobility as M, upoly
@@ -72,10 +73,52 @@ class TestClassification:
         assert abs(cls.omega - 1.0) < 1e-9  # common period 2*pi
 
     def test_incommensurable_pairs_rejected(self):
-        root2 = math.sqrt(2)
+        # companion matrix of λ⁴+3λ²+1: omega^2 = (3 +- sqrt 5)/2, irrational ratio
         cls = M.classify_linear_one_param(
-            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -root2], [0, 0, root2, 0]])
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -3], [0, 0, 1, 0]])
         assert cls.tag != "Periodic"
+
+    def test_float_entry_rejected(self):
+        # a float is a dyadic rational: sqrt(2) as a float is commensurable with 1
+        root2 = math.sqrt(2)
+        with pytest.raises(TypeError):
+            M.classify_linear_one_param(
+                [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -root2], [0, 0, root2, 0]])
+
+    def test_close_large_frequencies_share_period(self):
+        # frequencies 10^6 and 10^6 + 1 return together at 2*pi
+        w = 10**6
+        cls = M.classify_linear_one_param(
+            [[0, -w, 0, 0], [w, 0, 0, 0], [0, 0, 0, -w - 1], [0, 0, w + 1, 0]])
+        assert cls.tag == "Periodic"
+        assert cls.omega == 1.0
+
+    def test_any_dimension(self):
+        # diag(R(1), R(2), 0) is 5x5
+        cls = M.classify_linear_one_param(
+            [[0, -1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, -2, 0], [0, 0, 2, 0, 0],
+             [0, 0, 0, 0, 0]])
+        assert cls.tag == "Periodic"
+        assert cls.omega == 1.0
+
+    def test_numpy_decides_no_tag(self, monkeypatch):
+        h = Fraction(1, 2)
+        matrices = [
+            [[0, -1], [1, 0]], [[h, -1], [1, h]], [[h, 1, 0], [-1, h, 0], [0, 0, 0]],
+            [[1, -1], [1, -2]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1], [0, 0]],
+            [[0, 0], [0, 0]], [[2, 0], [0, -1]],
+            [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]],
+            [[h, -1, 1, 0], [1, h, 0, 1], [0, 0, h, -1], [0, 0, 1, h]],
+            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]],
+            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -3], [0, 0, 1, 0]],
+            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+        ]
+        tags = [M.classify_linear_one_param(m).tag for m in matrices]
+        forms = [r.classification.tag for r in M.classify_seven_forms()]
+        monkeypatch.setattr(np, "roots", lambda coeffs: np.array([7 + 3j] * (len(coeffs) - 1)))
+        assert [M.classify_linear_one_param(m).tag for m in matrices] == tags
+        assert [r.classification.tag for r in M.classify_seven_forms()] == forms
 
     def test_nondiagonalizable_zero_block_not_periodic(self):
         cls = M.classify_linear_one_param(

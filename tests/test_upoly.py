@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,13 @@ class TestAgreesWithMovedHelpers:
         assert roots == sorted(reference_rational_roots(p))
         assert all(value(p, r) == 0 for r in roots)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(ROOT, min_size=1, max_size=5), st.booleans(), st.integers(1, 5))
+    def test_real_root_count(self, roots, with_root2, k):
+        # the rational roots, each once, plus +-sqrt 2; x^2 + k adds none
+        factors = [[1, -r] for r in roots] + [[1, 0, k]] + ([[1, 0, -2]] if with_root2 else [])
+        assert upoly.real_root_count(product(factors)) == len(set(roots)) + 2 * with_root2
+
 
 class TestSquareFree:
     @settings(max_examples=150, deadline=None)
@@ -265,6 +273,14 @@ class TestPeriodicity:
             None, "has real eigenvalues ±√2, charpoly λ²-2")
         assert upoly.periodicity([[1, -1], [1, 1]]) == (
             None, "has eigenvalues off the imaginary axis, charpoly λ²-2λ+2")
+
+    def test_close_large_frequencies_decided_fast(self):
+        # frequencies 10^6 and 10^6 + 1: the rational roots of q are found by
+        # Sturm bisection, not by trial division of its constant term
+        started = time.perf_counter()
+        result = upoly.periodicity(blocks(rotation(10**6), rotation(10**6 + 1)))
+        assert time.perf_counter() - started < 1.0
+        assert result.omega_squared == 1
 
     def test_zero_matrix_returns_at_every_time(self):
         assert upoly.periodicity([[0, 0], [0, 0]]) == (0, "zero")
