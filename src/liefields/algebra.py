@@ -291,10 +291,11 @@ def reduced_algebra(L: LieAlgebraPresentation, base, param_values=None,
 def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
                           param_values=None) -> int:
     """s*dim minus the generic rank of the point-prolonged generators, sampled
-    at jointly generic configurations (no two points sharing any coordinate)."""
+    at jointly generic configurations (no two points sharing any coordinate).
+    The prolongation is never built: each generator is evaluated at the s
+    points of a configuration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    prolonged = [F.prolong_points(g, s) for g in L.generators]
     n = L.dim
 
     def mutually_generic(coords):
@@ -304,8 +305,8 @@ def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
                     return False
         return True
 
-    rank = F.generic_rank(prolonged, seed=seed, param_values=param_values,
-                          point_filter=mutually_generic if s > 1 else None)
+    rank = F.generic_rank(list(L.generators), seed=seed, param_values=param_values,
+                          point_filter=mutually_generic if s > 1 else None, copies=s)
     return s * n - rank
 
 

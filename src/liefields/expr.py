@@ -429,25 +429,48 @@ def differentiate(e: Expr, v: int) -> Expr:
     return add_many(pieces)
 
 
+def _is_plain_monomial(e: Expr) -> bool:
+    """One term whose factors are all variables and parameters."""
+    return len(e.terms) == 1 and all(f[0] <= _P for f, _ex in e.terms[0][0])
+
+
 def substitute_vars(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
+    """e with variable i replaced by mapping[i]. A plain-monomial replacement
+    (a renamed variable, a constant, c*x_j, a parameter monomial) merges into
+    the term's exponents and coefficient; function nodes, inverted blocks and
+    multi-term replacements are multiplied in. Multiplying by a plain
+    monomial never expands a block, so the merged term equals the product."""
     pieces = []
     for mon, c in e.terms:
-        piece = const(c)
+        exps: dict = {}
+        factors = []
         for factor, ex in mon:
             tag = factor[0]
             if tag == _V and factor[1] in mapping:
                 rep = mapping[factor[1]]
+                if not _is_plain_monomial(rep):
+                    factors.append(intpow(rep, ex))
+                    continue
+                rmon, rc = rep.terms[0]
+                c = c * rc**ex
+                merge = [(f, k * ex) for f, k in rmon]
             elif tag == _F:
-                rep = fn(factor[1], substitute_vars(factor[2], mapping))
+                factors.append(intpow(fn(factor[1], substitute_vars(factor[2], mapping)), ex))
+                continue
             elif tag == _Q:
-                rep = substitute_vars(factor[1], mapping)
-                rep = intpow(rep, ex)
-                piece = mul(piece, rep)
+                factors.append(intpow(substitute_vars(factor[1], mapping), ex))
                 continue
             else:
-                piece = mul(piece, Expr(((((factor, ex),), Fraction(1)),)))
-                continue
-            piece = mul(piece, intpow(rep, ex))
+                merge = ((factor, ex),)
+            for f, k in merge:
+                k += exps.get(f, 0)
+                if k:
+                    exps[f] = k
+                else:
+                    del exps[f]
+        piece = Expr(((tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0]))), c),))
+        for rep in factors:
+            piece = mul(piece, rep)
         pieces.append(piece)
     return add_many(pieces)
 

@@ -155,10 +155,15 @@ def sample_point(dim: int, rng: random.Random):
 
 def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
                  param_values: Mapping[int, Fraction] | None = None,
-                 point_filter=None) -> int:
+                 point_filter=None, copies: int = 1) -> int:
     """Maximum exact rank of the coefficient matrix over `points` random
     rational points. Parameters are sampled as random non-special rationals
-    unless pinned through param_values. Deterministic for a given seed."""
+    unless pinned through param_values. Deterministic for a given seed.
+
+    With copies = s the fields are taken point-prolonged to s points: a
+    configuration is s points of the base space, and a row is the field
+    evaluated at each point in turn, the value of prolong_points(f, s) at the
+    concatenated coordinates."""
     if not fields:
         raise FieldError("generic_rank of empty field list")
     dim = fields[0].dim
@@ -166,24 +171,27 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         raise FieldError("mixed dimensions")
     rng = random.Random(seed)
     pidx = field_params(fields)
+    ceiling = min(len(fields), copies * dim)
     best = 0
     found = 0
     attempts = 0
     while found < points and attempts < 200 * points:
         attempts += 1
-        coords = sample_point(dim, rng)
+        coords = sample_point(copies * dim, rng)
         if point_filter is not None and not point_filter(coords):
             continue
         params = dict(param_values or {})
         for j in pidx:
             params.setdefault(j, random_nonspecial_rational(rng))
+        blocks = [coords[b * dim:(b + 1) * dim] for b in range(copies)]
         try:
-            matrix = [evaluate_exact_at(f, coords, params) for f in fields]
+            matrix = [[v for x in blocks for v in evaluate_exact_at(f, x, params)]
+                      for f in fields]
         except E.DomainError:
             continue
         found += 1
         best = max(best, exactla.rank(matrix))
-        if best == min(len(fields), dim):
+        if best == ceiling:
             break
     if found == 0:
         raise FieldError("could not sample any admissible point")

@@ -93,13 +93,11 @@ def verify_joint_invariant(L: A.LieAlgebraPresentation, J: InvariantCandidate,
     configurations."""
     if mode not in ("symbolic", "numeric"):
         raise ValueError("mode must be 'symbolic' or 'numeric'")
-    prolonged = [F.prolong_points(g, J.s) for g in L.generators]
+    body = E.substitute_params(J.body, param_values) if param_values else J.body
     residuals = []
-    for g in prolonged:
-        res = F.apply_to_function(g, J.body)
-        if param_values:
-            res = E.substitute_params(res, param_values)
-        residuals.append(res)
+    for g in L.generators:
+        g = F.prolong_points(F.substitute_params(g, param_values), J.s)
+        residuals.append(F.apply_to_function(g, body))
     pending = []
     if mode == "symbolic":
         for k, res in enumerate(residuals):
@@ -247,37 +245,53 @@ def lie_derivative_quadratic_form(X: VectorField, g: QuadraticForm) -> Quadratic
 # essential invariants
 
 
-def _gradient_rank(bodies: Sequence[E.Expr], nvars: int, seed: int, params=None) -> int:
-    """Number of functionally independent expressions: the largest rank of
-    the gradient matrix at up to 8 random configurations; exact when the
-    gradients are rational, numeric SVD with a 1e-8 singular-value threshold
-    otherwise. Sampling stops once the rank reaches min(rows, cols), which no
-    further configuration can exceed."""
-    grads = [[E.differentiate(b, v) for v in range(nvars)] for b in bodies]
+def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int,
+                   seed: int, params=None) -> int:
+    """Number of functionally independent pullbacks of the pair invariants to
+    s points: the largest rank of their gradient matrix at up to 8 random
+    configurations; exact when the gradients are rational, numeric SVD with a
+    1e-8 singular-value threshold otherwise. Sampling stops once the rank
+    reaches min(rows, cols), which no further configuration can exceed.
+
+    The pullback of J to points (lam, mu) has J's gradient in blocks lam and
+    mu and zeros elsewhere, so each J is differentiated once in its 2n
+    variables and its gradient evaluated at (x_lam, x_mu). Rows run over J,
+    then over the pairs lam < mu."""
+    if any(J.s != 2 for J in pair_invariants):
+        raise ValueError("pullbacks need a two-point invariant")
+    grads = [[E.differentiate(J.body, v) for v in range(2 * n)] for J in pair_invariants]
     exact = all(not E.contains_fn(d) for row in grads for d in row)
-    ceiling = min(len(bodies), nvars)
+    pairs = [(lam, mu) for lam in range(s) for mu in range(lam + 1, s)]
+    nvars = s * n
+    ceiling = min(len(grads) * len(pairs), nvars)
     rng = random.Random(seed)
+    if exact:
+        draw, evaluate, zero, values = F.random_rational, E.evaluate_exact, Fraction(0), params
+    else:
+        draw, evaluate, zero = (lambda r: r.uniform(-2, 2)), E.evaluate_numeric, 0.0
+        values = {j: float(v) for j, v in (params or {}).items()}
     best = 0
     configs = 0
     attempts = 0
     while configs < 8 and attempts < 400:
         attempts += 1
+        coords = [draw(rng) for _ in range(nvars)]
+        matrix = []
+        try:
+            for grad in grads:
+                for lam, mu in pairs:
+                    at = coords[lam * n:(lam + 1) * n] + coords[mu * n:(mu + 1) * n]
+                    g = [evaluate(d, at, values) for d in grad]
+                    row = [zero] * nvars
+                    row[lam * n:(lam + 1) * n] = g[:n]
+                    row[mu * n:(mu + 1) * n] = g[n:]
+                    matrix.append(row)
+        except (E.DomainError, OverflowError):
+            continue
         if exact:
-            coords = [F.random_rational(rng) for _ in range(nvars)]
-            try:
-                matrix = [[E.evaluate_exact(d, coords, params) for d in row] for row in grads]
-            except (E.DomainError, E.NonPolynomialError):
-                continue
             best = max(best, exactla.rank(matrix))
         else:
-            coords = [rng.uniform(-2, 2) for _ in range(nvars)]
-            fparams = {j: float(v) for j, v in (params or {}).items()}
-            try:
-                matrix = np.array(
-                    [[E.evaluate_numeric(d, coords, fparams) for d in row] for row in grads]
-                )
-            except (E.DomainError, OverflowError):
-                continue
+            matrix = np.array(matrix)
             scale = np.abs(matrix).max(axis=1, keepdims=True)
             scale[scale == 0] = 1.0
             sv = np.linalg.svd(matrix / scale, compute_uv=False)
@@ -288,21 +302,6 @@ def _gradient_rank(bodies: Sequence[E.Expr], nvars: int, seed: int, params=None)
     if configs == 0:
         raise DomainExhausted("no admissible configuration for gradient rank")
     return best
-
-
-def pair_invariant_pullbacks(J: InvariantCandidate, n: int, s: int) -> List[E.Expr]:
-    """All s(s-1)/2 copies of a two-point invariant on the s-point space."""
-    if J.s != 2:
-        raise ValueError("pullbacks need a two-point invariant")
-    out = []
-    for lam in range(s):
-        for mu in range(lam + 1, s):
-            mapping = {}
-            for i in range(n):
-                mapping[i] = E.var(lam * n + i)
-                mapping[n + i] = E.var(mu * n + i)
-            out.append(E.substitute_vars(J.body, mapping))
-    return out
 
 
 def essential_invariant_check(L: A.LieAlgebraPresentation, s: int, seed: int = 0,
@@ -320,10 +319,7 @@ def essential_invariant_check(L: A.LieAlgebraPresentation, s: int, seed: int = 0
                 "a pair-invariant formula is required when two points have one")
         independent = 0
     else:
-        bodies = []
-        for J in pair_invariants:
-            bodies.extend(pair_invariant_pullbacks(J, L.dim, s))
-        independent = _gradient_rank(bodies, L.dim * s, seed, params=param_values)
+        independent = _gradient_rank(pair_invariants, L.dim, s, seed, params=param_values)
     return count > independent
 
 

@@ -524,7 +524,10 @@ def _restrict_to_plane_action(mats, stab_basis, v):
             img = [-sum(u[k] * S[k][j] for k in range(3)) for j in range(3)]
             # project img onto span(basis) exactly: solve img = a*b1 + b*b2 (+ c*v)
             mat = [[basis[0][i], basis[1][i], v[i]] for i in range(3)]
-            [(sol, _consistent)] = exactla.solve(mat, [img])
+            [(sol, consistent)] = exactla.solve(mat, [img])
+            if not consistent:
+                raise ValueError("plane action: [b1, b2, v] is invertible, yet the image of a "
+                                 "normal in v-perp has no coordinates in it")
             rows.append([sol[0], sol[1]])
         out.append([[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]])
     return out

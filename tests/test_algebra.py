@@ -352,6 +352,43 @@ class TestJointInvariantCount:
             assert counts[2] >= counts[1] + counts[0], eid
 
 
+def ref_joint_invariant_count(L, s, seed=0, param_values=None):
+    """Reference: s*dim minus the generic rank of the built prolongations."""
+    n = L.dim
+
+    def mutually_generic(coords):
+        return all(coords[a * n + i] != coords[b * n + i]
+                   for a in range(s) for b in range(a + 1, s) for i in range(n))
+
+    prolonged = [F.prolong_points(g, s) for g in L.generators]
+    return s * n - F.generic_rank(prolonged, seed=seed, param_values=param_values,
+                                  point_filter=mutually_generic if s > 1 else None)
+
+
+class TestPerPointCount:
+    """Evaluating the base generators at each point of a configuration draws
+    the same numbers as evaluating the built prolongation there."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_matches_prolongation_across_catalog(self, seed):
+        cases = 0
+        for entry in CAT.builtin_entries():
+            L = entry.presentation()
+            for pv in [None] + entry.param_value_maps():
+                for s in (2, 3, 4):
+                    assert A.joint_invariant_count(L, s, seed=seed, param_values=pv or None) == \
+                        ref_joint_invariant_count(L, s, seed, pv or None), (entry.id, pv, s)
+                    cases += 1
+        assert cases == 312
+
+    def test_builds_no_prolongation(self, euclid, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("prolong_points called")
+
+        monkeypatch.setattr(F, "prolong_points", refuse)
+        assert A.joint_invariant_count(euclid, 3) == 3
+
+
 class TestTwoPointCriterion:
     @pytest.mark.parametrize("gens,params,expected", [
         (["p", "q", "x*q + r", "x*p + y*q + c*r", "x^2*q + 2*x*r",

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from liefields import algebra as A, catalog as CAT, exactla, expr as E, invariants as I
 from liefields import fields as F
 from liefields import flows as FL
+from test_sums import ref_pair_invariant_pullbacks
 
 
 V3 = ["x", "y", "z"]
@@ -266,18 +267,26 @@ def rank_calls(monkeypatch):
     return calls
 
 
+def pullback_rank(pair_invariants, n, s, seed, params=None):
+    """Reference: the rank of the built s-point pullbacks, all 8
+    configurations."""
+    bodies = [b for J in pair_invariants for b in ref_pair_invariant_pullbacks(J, n, s)]
+    return full_gradient_rank(bodies, n * s, seed, params)
+
+
 class TestGradientRank:
-    """Sampling stops once the rank reaches min(rows, cols); below that
-    ceiling all 8 configurations are drawn, as before."""
+    """The scattered gradient of each J gives the rank of its built
+    pullbacks. Sampling stops once the rank reaches min(rows, cols); below
+    that ceiling all 8 configurations are drawn, as before."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_catalog_calls_match_full_sampling(self, seed, monkeypatch):
         calls = []
         stopping = I._gradient_rank
 
-        def recording(bodies, nvars, seed, params=None):
-            rank = stopping(bodies, nvars, seed, params)
-            calls.append((bodies, nvars, seed, params, rank))
+        def recording(pair_invariants, n, s, seed, params=None):
+            rank = stopping(pair_invariants, n, s, seed, params)
+            calls.append((pair_invariants, n, s, seed, params, rank))
             return rank
 
         monkeypatch.setattr(I, "_gradient_rank", recording)
@@ -285,31 +294,39 @@ class TestGradientRank:
         monkeypatch.undo()
         assert len(calls) == 44
         below = 0
-        for bodies, nvars, s, params, rank in calls:
-            assert rank == full_gradient_rank(bodies, nvars, s, params)
-            below += rank < min(len(bodies), nvars)
+        for pair_invariants, n, s, sd, params, rank in calls:
+            assert rank == pullback_rank(pair_invariants, n, s, sd, params)
+            rows = len(pair_invariants) * s * (s - 1) // 2
+            below += rank < min(rows, n * s)
         assert below == 3
 
     def test_stops_at_ceiling(self, rank_calls):
-        bodies = [E.parse_expression(t, PV2) for t in ("x1 - x2", "y1*z2", "z1 + z2^2")]
-        assert I._gradient_rank(bodies, 6, seed=0) == 3
+        pair = [cand(t) for t in ("x1 - x2", "y1*z2", "z1 + z2^2")]
+        assert I._gradient_rank(pair, 3, 2, seed=0) == 3
         assert len(rank_calls) == 1
 
     def test_dependent_pullbacks_draw_all_configurations(self, rank_calls):
         J = cand("(x1-x2)^2 + (y1-y2)^2 + (z1-z2)^2")
-        d = J.body
-        bodies = [d, E.mul(d, d)]
-        assert I._gradient_rank(bodies, 6, seed=0) == 1
+        pair = [J, I.InvariantCandidate(2, E.mul(J.body, J.body))]
+        assert I._gradient_rank(pair, 3, 2, seed=0) == 1
         assert len(rank_calls) == 8
 
     def test_catalog_pullbacks_below_ceiling_draw_all_configurations(self, rank_calls):
         entry = CAT.entry_by_id("ex94-21")
         L = entry.presentation()
-        bodies = [b for J in entry.parsed_invariants()
-                  for b in I.pair_invariant_pullbacks(J, L.dim, 3)]
-        assert (len(bodies), 3 * L.dim) == (3, 9)
-        assert I._gradient_rank(bodies, 9, seed=0) == 2
+        pair = entry.parsed_invariants()
+        assert (len(pair) * 3, 3 * L.dim) == (3, 9)
+        assert I._gradient_rank(pair, L.dim, 3, seed=0) == 2
         assert len(rank_calls) == 8
+
+    def test_numeric_path_matches_pullbacks(self):
+        J = cand("log((x1-x2)^2 + 1) + atan(y2) + z1*z2")
+        for s, seed in ((2, 0), (3, 1), (4, 2)):
+            assert I._gradient_rank([J], 3, s, seed) == pullback_rank([J], 3, s, seed)
+
+    def test_rejects_invariants_of_other_point_counts(self):
+        with pytest.raises(ValueError):
+            I._gradient_rank([cand("x1 + x2 + x3", s=3)], 3, 3, seed=0)
 
 
 class TestPseudospheres:
@@ -330,5 +347,4 @@ class TestPseudospheres:
             mapping = {0: E.const(cx), 1: E.const(cy), 2: E.const(cz),
                        3: E.var(0), 4: E.var(1), 5: E.var(2)}
             bodies.append(E.substitute_vars(J.body, mapping))
-        rank = I._gradient_rank(bodies, 3, seed=1)
-        assert rank == 3
+        assert full_gradient_rank(bodies, 3, seed=1) == 3

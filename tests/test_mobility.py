@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liefields import algebra as A, mobility as M, upoly
+from liefields import algebra as A, exactla, mobility as M, upoly
 
 
 V3 = ["x", "y", "z"]
@@ -194,6 +194,19 @@ class TestFreeMobility:
             assert verdict.free_mobility is expected, eid
             if not expected:
                 assert verdict.failing_stage
+
+    def test_inconsistent_plane_action_raises(self, monkeypatch):
+        # rotation about the z-axis stabilises v = e3 and turns v-perp
+        rot = [[Fraction(0), Fraction(-1), Fraction(0)],
+               [Fraction(1), Fraction(0), Fraction(0)],
+               [Fraction(0), Fraction(0), Fraction(0)]]
+        v = [Fraction(0), Fraction(0), Fraction(1)]
+        assert M._restrict_to_plane_action([rot], [[Fraction(1)]], v) == [[[0, -1], [1, 0]]]
+        solve = exactla.solve
+        monkeypatch.setattr(exactla, "solve", lambda matrix, rhs: [
+            (x, False) for x, _consistent in solve(matrix, rhs)])
+        with pytest.raises(ValueError, match="plane action"):
+            M._restrict_to_plane_action([rot], [[Fraction(1)]], v)
 
     def test_unsupported_dimension(self):
         L = pres("line", ["d1"], vars=["x"])

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from liefields import catalog as CAT, expr as E, fields as F, invariants as I
+from hypothesis import given, settings, strategies as st
+
+from liefields import catalog as CAT, expr as E, fields as F
 from liefields.expr import _F, _P, _Q, _V, Expr
 
 
@@ -121,6 +123,20 @@ def ref_substitute_params(e, mapping):
     return out
 
 
+def ref_pair_invariant_pullbacks(J, n, s):
+    """All s(s-1)/2 copies of a two-point invariant on the s-point space, in
+    the row order of the essentialness gradient: pairs lam < mu."""
+    if J.s != 2:
+        raise ValueError("pullbacks need a two-point invariant")
+    out = []
+    for lam in range(s):
+        for mu in range(lam + 1, s):
+            mapping = {i: E.var(lam * n + i) for i in range(n)}
+            mapping.update({n + i: E.var(mu * n + i) for i in range(n)})
+            out.append(E.substitute_vars(J.body, mapping))
+    return out
+
+
 def ref_apply_to_function(X, f):
     out = E.ZERO
     for i, xi in enumerate(X.coeffs):
@@ -142,7 +158,7 @@ def _catalog_cases():
         coeffs = [c for g in L.generators for c in g.coeffs]
         invariants = [J.body for J in entry.parsed_invariants()]
         pullbacks = [b for J in entry.parsed_invariants()
-                     for b in I.pair_invariant_pullbacks(J, n, 3)]
+                     for b in ref_pair_invariant_pullbacks(J, n, 3)]
         samples = [pv for pv in entry.param_value_maps() if pv]
         out.append((entry, coeffs, invariants, pullbacks, samples))
     return out
@@ -197,7 +213,12 @@ def test_apply_to_function_with_point_prolonged_generators(case):
             res = F.apply_to_function(X, body)
             assert res.terms == ref_apply_to_function(X, body).terms
             for pv in samples:
-                assert E.substitute_params(res, pv).terms == ref_substitute_params(res, pv).terms
+                want = E.substitute_params(res, pv)
+                assert want.terms == ref_substitute_params(res, pv).terms
+                # parameters put in before prolonging give the same residual
+                first = F.apply_to_function(F.prolong_points(F.substitute_params(g, pv), 2),
+                                            E.substitute_params(body, pv))
+                assert first.terms == want.terms
 
 
 def test_mul_with_overflowing_blocks():
@@ -216,3 +237,77 @@ def test_add_many_cancels_and_drops_zeros():
     assert E.add_many([x, E.neg(x)]).terms == ()
     total = E.add_many([x, y, E.neg(x), E.const(2), E.const(-2), y])
     assert total.terms == E.mul(E.const(2), y).terms
+
+
+def _replacements():
+    """Replacements of one variable: renames (block shifts, swaps and
+    collapsing maps such as x1 -> x0), constant points, c*x_j, parameter
+    monomials, and replacements carrying a sum, an inverted block or a
+    function node."""
+    j = st.integers(min_value=0, max_value=7)
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    k = st.integers(min_value=-2, max_value=2)
+    return st.one_of(
+        j.map(E.var),
+        q.map(E.const),
+        st.tuples(q, j).map(lambda a: E.mul(E.const(a[0]), E.var(a[1]))),
+        st.tuples(q.filter(bool), k, j, k).map(lambda a: E.mul(
+            E.mul(E.const(a[0]), E.intpow(E.param(0), a[1])), E.intpow(E.var(a[2]), a[3]))),
+        st.tuples(j, q).map(lambda a: E.add(E.var(a[0]), E.const(a[1]))),
+        st.tuples(j, q).map(lambda a: E.mul(E.var(a[0]), E.inverse(
+            E.add(E.var(a[0]), E.const(a[1] + 5))))),
+        st.tuples(j, st.sampled_from([E.EXP, E.ATAN])).map(
+            lambda a: E.mul(E.var(a[0]), E.fn(a[1], E.var(a[0])))),
+    )
+
+
+def _pool():
+    x, y, z = E.var(0), E.var(1), E.var(2)
+    c = E.param(0)
+    hand = [
+        E.add_many([E.mul(x, E.intpow(y, -2)), E.mul(c, z), E.const(3)]),
+        E.add(E.inverse(E.add(x, E.mul(y, y))), E.mul(E.intpow(x, 3), E.fn(E.LOG, E.add(y, E.ONE)))),
+        E.mul(E.fn(E.SQRT, E.add(E.mul(x, x), E.const(1))), E.inverse(E.add(z, c))),
+    ]
+    exprs = [e for _, coeffs, invariants, _, _ in CASES for e in coeffs + invariants if e]
+    return hand + exprs
+
+
+POOL = _pool()
+
+
+def _substituted(f, e, mapping):
+    try:
+        return f(e, mapping).terms
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@given(st.sampled_from(POOL),
+       st.dictionaries(st.integers(min_value=0, max_value=5), _replacements(), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_substitute_vars_matches_reference_on_random_maps(e, mapping):
+    assert _substituted(E.substitute_vars, e, mapping) == _substituted(
+        ref_substitute_vars, e, mapping)
+
+
+def test_block_shift_makes_no_products(monkeypatch):
+    """A renaming only relabels exponents: no call of mul."""
+    calls = []
+    mul = E.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    entry = CAT.entry_by_id("ex94-21")
+    n = len(entry.vars)
+    bodies = [c for g in entry.presentation().generators for c in g.coeffs]
+    bodies += [J.body for J in entry.parsed_invariants()]
+    shift = {j: E.var(2 * n + j) for j in range(2 * n)}
+    want = [ref_substitute_vars(b, shift) for b in bodies]
+    monkeypatch.setattr(E, "mul", counting)
+    got = [E.substitute_vars(b, shift) for b in bodies]
+    monkeypatch.undo()
+    assert [g.terms for g in got] == [w.terms for w in want]
+    assert calls == []
