@@ -46,10 +46,10 @@ class LieAlgebraPresentation:
     def order(self) -> int:
         return len(self.generators)
 
-    def validate(self, seed: int = 0) -> None:
+    def validate(self) -> None:
         if any(g.dim != self.dim for g in self.generators):
             raise F.FieldError("generator dimension mismatch")
-        if not F.linear_independence_over_constants(list(self.generators), seed=seed):
+        if not F.linear_independence_over_constants(list(self.generators)):
             raise F.FieldError(f"{self.name}: generators dependent over constants")
 
 
@@ -81,19 +81,6 @@ class IsotropyReport:
 # closure and structure constants
 
 
-def _coefficient_rows(fields: Sequence[VectorField], n: int, key_index: dict) -> list:
-    """Each field as {row: coefficient}, one row per (coordinate,
-    variable-monomial); a monomial not yet in key_index gets the next row."""
-    out = []
-    for X in fields:
-        col = {}
-        for i in range(n):
-            for expo, coeff in E.poly_coefficients(X.coeffs[i], n).items():
-                col[key_index.setdefault((i, expo), len(key_index))] = coeff
-        out.append(col)
-    return out
-
-
 def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     """Solve [X_j, X_k] = sum_s c_jk^s X_s exactly by matching canonical
     variable-monomials; the c must be free of the variables. Raises
@@ -105,10 +92,10 @@ def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     solve."""
     r, n = L.order, L.dim
     key_index: dict = {}
-    columns = _coefficient_rows(L.generators, n, key_index)
+    columns = F.coefficient_rows(L.generators, key_index)
     pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
     brackets = [F.bracket(L.generators[j], L.generators[k]) for j, k in pairs]
-    sides = _coefficient_rows(brackets, n, key_index)
+    sides = F.coefficient_rows(brackets, key_index)
     rows = range(len(key_index))
     matrix = [[col.get(row, E.ZERO) for col in columns] for row in rows]
     solutions = exactla.solve(matrix, [[side.get(row, E.ZERO) for row in rows] for side in sides],

@@ -97,8 +97,16 @@ def _parse_expect_value(text: str):
 
 
 def load_algebra_file(path: str) -> AlgebraFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_file(fh.read(), name=path)
+    """Parse the file at path; a file that cannot be read or is not UTF-8
+    raises AlgebraFileError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as err:
+        raise AlgebraFileError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise AlgebraFileError(f"cannot read {path}: not UTF-8 text (byte {err.start})") from None
+    return parse_algebra_file(text, name=path)
 
 
 def format_algebra_file(af: AlgebraFile) -> str:

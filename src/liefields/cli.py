@@ -9,6 +9,8 @@ argument or in SEED is a usage error that names the value."""
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import os
 import sys
 from fractions import Fraction
@@ -71,14 +73,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _checked(kind, test, requirement: str):
+    """An argparse type: text read as kind, then held to test."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_finite_float = _checked(float, math.isfinite, "finite")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("file")
     fl.add_argument("--gen", type=int, required=True, help="1-based generator index")
     fl.add_argument("--from", dest="start", required=True, metavar="PT")
-    fl.add_argument("--t", type=float, required=True)
+    fl.add_argument("--t", type=_finite_float, required=True)
     fl.add_argument("--steps", type=_positive_int, default=10000)
     fl.add_argument("--param", action="append", metavar="NAME=VALUE")
     fl.add_argument("--csv", help="write the trajectory as CSV (t, x1, ..., xn)")
@@ -123,9 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("file")
     mo.add_argument("--gen-combo", required=True, metavar="c1,...,cr")
     mo.add_argument("--from", dest="start", required=True, metavar="PT")
-    mo.add_argument("--t-max", type=float, default=20.0)
+    mo.add_argument("--t-max", type=_positive_float, default=20.0)
     mo.add_argument("--steps", type=_positive_int, default=20000)
-    mo.add_argument("--tol", type=float, default=1e-6)
+    mo.add_argument("--tol", type=_positive_float, default=1e-6)
     mo.add_argument("--param", action="append", metavar="NAME=VALUE")
 
     mob = add_parser("mobility", help="free mobility in the infinitesimal")
@@ -228,13 +238,17 @@ def _dispatch(args, seed: int) -> int:
         for idx, J in enumerate(af.invariants()):
             if J.s == 1:
                 tracked[f"invariant[{idx}]"] = J.body
-        traj = FL.numeric_flow(X, F.Point(start), args.t, args.steps,
-                               tracked=tracked or None, record=bool(args.csv))
-        print("endpoint: " + ", ".join(_fmt(v) for v in traj.endpoint))
-        for label in sorted(traj.drift):
-            print(f"drift {label}: {_fmt(traj.drift[label])}")
-        if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
+        try:
+            csv = open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
+        except OSError as err:
+            raise UsageError(f"cannot write --csv {args.csv}: {err.strerror}") from None
+        with csv as fh:
+            traj = FL.numeric_flow(X, F.Point(start), args.t, args.steps,
+                                   tracked=tracked or None, record=fh is not None)
+            print("endpoint: " + ", ".join(_fmt(v) for v in traj.endpoint))
+            for label in sorted(traj.drift):
+                print(f"drift {label}: {_fmt(traj.drift[label])}")
+            if fh is not None:
                 for t, pt in traj.samples:
                     fh.write(",".join([_fmt(t)] + [_fmt(v) for v in pt]) + "\n")
         return 0

@@ -292,23 +292,25 @@ def intpow(a: Expr, k: int) -> Expr:
     return result
 
 
-def _clearing_monomial(e: Expr):
-    """Smallest monomial clearing every negative exponent in e."""
+def _clearing_monomial(*exprs: Expr):
+    """Smallest monomial clearing every negative exponent in the exprs."""
     need: dict = {}
-    for mon, _ in e.terms:
-        for f, ex in mon:
-            if ex < 0:
-                need[f] = max(need.get(f, 0), -ex)
+    for e in exprs:
+        for mon, _ in e.terms:
+            for f, ex in mon:
+                if ex < 0:
+                    need[f] = max(need.get(f, 0), -ex)
     mon = tuple(sorted(need.items(), key=lambda fe: _fkey(fe[0])))
     return mon
 
 
-def clear_denominators(e: Expr) -> Expr:
-    """e multiplied by the minimal monomial of its inverted/negative factors."""
-    mon = _clearing_monomial(e)
+def clear_denominators(*exprs: Expr) -> list:
+    """The exprs, each multiplied by one common monomial: the smallest that
+    clears every inverted or negative factor among them."""
+    mon = _clearing_monomial(*exprs)
     if not mon:
-        return e
-    return mul(e, Expr(((mon, Fraction(1)),)))
+        return list(exprs)
+    return [mul(e, Expr(((mon, Fraction(1)),))) for e in exprs]
 
 
 def inverse(e: Expr) -> Expr:
@@ -323,7 +325,7 @@ def inverse(e: Expr) -> Expr:
         for base, ex in overflow:
             out = mul(out, intpow(base, ex))
         return out
-    numer = clear_denominators(e)
+    [numer] = clear_denominators(e)
     denom_mon = _clearing_monomial(e)
     if len(numer.terms) == 1:
         inv = inverse(numer)
@@ -637,7 +639,7 @@ def is_identically_zero(e: Expr, seed: int = 0) -> Zeroness:
     When function nodes survive, 64 random rational evaluations all vanishing
     gives UNKNOWN; a nonvanishing sample gives NO.
     """
-    cleared = clear_denominators(e)
+    [cleared] = clear_denominators(e)
     if cleared.is_zero:
         return Zeroness.YES
     if not contains_fn(e):
@@ -790,93 +792,6 @@ def compile_numeric(e: Expr) -> Callable:
             raise DomainError(f"numeric evaluation failed: {err}", e) from err
 
     return wrapped
-
-
-# ---------------------------------------------------------------------------
-# Taylor expansion (polynomial and inverted-block expressions)
-
-
-def taylor_coefficients(e: Expr, base: Sequence[Fraction], max_degree: int, nvars: int,
-                        params: Mapping[int, Fraction] | None = None) -> dict:
-    """Exponent-tuple -> Fraction coefficients of e(base + h) up to |h|-degree
-    max_degree. Parameters must be instantiated. Function nodes unsupported."""
-    params = dict(params or {})
-    shifted = substitute_params(e, params) if params else e
-    if used_params(shifted):
-        raise ExprError("taylor expansion requires parameter values")
-    mapping = {i: add(const(Fraction(base[i])), var(i)) for i in range(nvars)}
-    shifted = substitute_vars(shifted, mapping)
-    series = _poly_series(shifted, max_degree, nvars)
-    return series
-
-
-def _series_mul(a: dict, b: dict, max_degree: int, nvars: int) -> dict:
-    out: dict = {}
-    for ka, ca in a.items():
-        da = sum(ka)
-        for kb, cb in b.items():
-            if da + sum(kb) > max_degree:
-                continue
-            key = tuple(x + y for x, y in zip(ka, kb))
-            nc = out.get(key, Fraction(0)) + ca * cb
-            if nc:
-                out[key] = nc
-            else:
-                out.pop(key, None)
-    return out
-
-
-def _series_inv(a: dict, max_degree: int, nvars: int) -> dict:
-    zero_key = (0,) * nvars
-    c0 = a.get(zero_key, Fraction(0))
-    if c0 == 0:
-        raise DomainError("inverted block singular at expansion point", None)
-    rest = {k: v for k, v in a.items() if k != zero_key}
-    inv = {zero_key: 1 / c0}
-    # Newton-style accumulation: inv = (1/c0) * sum_k (-rest/c0)^k
-    term = {zero_key: Fraction(1)}
-    scaled_rest = {k: -v / c0 for k, v in rest.items()}
-    for _ in range(max_degree):
-        term = _series_mul(term, scaled_rest, max_degree, nvars)
-        if not term:
-            break
-        for k, v in term.items():
-            nc = inv.get(k, Fraction(0)) + v / c0
-            if nc:
-                inv[k] = nc
-            else:
-                inv.pop(k, None)
-    return inv
-
-
-def _poly_series(e: Expr, max_degree: int, nvars: int) -> dict:
-    zero_key = (0,) * nvars
-    out: dict = {}
-    for mon, c in e.terms:
-        piece = {zero_key: Fraction(c)}
-        for factor, ex in mon:
-            tag = factor[0]
-            if tag == _V:
-                unit = {tuple(1 if i == factor[1] else 0 for i in range(nvars)): Fraction(1)}
-                fs = unit
-            elif tag == _Q:
-                fs = _poly_series(factor[1], max_degree, nvars)
-            elif tag == _P:
-                raise ExprError("parameters must be instantiated before expansion")
-            else:
-                raise NonPolynomialError("function node in polynomial expansion")
-            if ex < 0:
-                fs = _series_inv(fs, max_degree, nvars)
-                ex = -ex
-            for _ in range(ex):
-                piece = _series_mul(piece, fs, max_degree, nvars)
-        for k, v in piece.items():
-            nc = out.get(k, Fraction(0)) + v
-            if nc:
-                out[k] = nc
-            else:
-                out.pop(k, None)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import exactla, expr as E
 
@@ -133,10 +133,6 @@ def random_nonspecial_rational(rng: random.Random) -> Fraction:
             return q
 
 
-def sample_params(param_indices: Iterable[int], rng: random.Random) -> dict:
-    return {j: random_nonspecial_rational(rng) for j in param_indices}
-
-
 def field_params(fields: Sequence[VectorField]) -> set:
     out = set()
     for f in fields:
@@ -196,36 +192,6 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
     if found == 0:
         raise FieldError("could not sample any admissible point")
     return best
-
-
-def linear_independence_over_constants(fields: Sequence[VectorField], max_degree: int = 4,
-                                       seed: int = 0) -> bool:
-    """True iff no nonzero constant combination of the fields vanishes, decided
-    on the matrix of Taylor coefficients up to max_degree (base shifted off the
-    origin when a coefficient is singular there)."""
-    if not fields:
-        return True
-    dim = fields[0].dim
-    rng = random.Random(seed)
-    pidx = field_params(fields)
-    params = sample_params(pidx, rng)
-    base = [Fraction(0)] * dim
-    for _ in range(50):
-        try:
-            rows = []
-            for f in fields:
-                row_entries = {}
-                for i, c in enumerate(f.coeffs):
-                    coeffs = E.taylor_coefficients(c, base, max_degree, dim, params)
-                    for expo, val in coeffs.items():
-                        row_entries[(i, expo)] = val
-                rows.append(row_entries)
-            keys = sorted({k for row in rows for k in row})
-            matrix = [[row.get(k, Fraction(0)) for k in keys] for row in rows]
-            return exactla.rank(matrix) == len(fields)
-        except E.DomainError:
-            base = sample_point(dim, rng)
-    raise FieldError("no admissible expansion point found")
 
 
 # ---------------------------------------------------------------------------
@@ -302,33 +268,55 @@ def prolong_differentials(X: VectorField) -> VectorField:
 
 
 # ---------------------------------------------------------------------------
-# span comparisons (polynomial fields)
+# linear relations with constant coefficients
 
 
-def _span_matrix(fields: Sequence[VectorField]):
-    keys = set()
-    rows = []
-    for f in fields:
-        row = {}
-        for i, c in enumerate(f.coeffs):
-            for expo, val in E.poly_coefficients(c, f.dim).items():
-                cv = val.constant_value()
-                if cv is None:
-                    raise FieldError("span comparison needs parameter-free fields")
-                row[(i, expo)] = cv
-        keys |= set(row)
-        rows.append(row)
-    keys = sorted(keys)
-    return [[row.get(k, Fraction(0)) for k in keys] for row in rows], keys
+def coefficient_rows(fields: Sequence[VectorField], key_index: dict) -> list:
+    """Each field as {key: coefficient}, one key per (coordinate,
+    variable-monomial); a monomial not yet in key_index gets the next key.
+    Coefficients are Exprs in the parameters."""
+    out = []
+    for X in fields:
+        entries = {}
+        for i, c in enumerate(X.coeffs):
+            for expo, coeff in E.poly_coefficients(c, X.dim).items():
+                entries[key_index.setdefault((i, expo), len(key_index))] = coeff
+        out.append(entries)
+    return out
+
+
+def _constant_rank(rows: Sequence[dict], width: int) -> int:
+    """Rank over Q(params) of coefficient rows with `width` keys."""
+    matrix = [[row.get(k, E.ZERO) for k in range(width)] for row in rows]
+    return exactla.rank(matrix, exactla.EXPR_OPS)
+
+
+def linear_independence_over_constants(fields: Sequence[VectorField]) -> bool:
+    """True iff no nonzero combination of the fields with coefficients in
+    Q(params) vanishes. Every coordinate is multiplied by one common clearing
+    monomial: a nonzero function, so the relations stay the same, and the
+    entries become polynomials in the variables. Distinct monomials are
+    independent, so full rank of the coefficient matrix decides exactly."""
+    if not fields:
+        return True
+    coeffs = [c for X in fields for c in X.coeffs]
+    if any(E.contains_fn(c) for c in coeffs):
+        raise E.NonPolynomialError("independence needs coefficients free of function nodes")
+    cleared = iter(E.clear_denominators(*coeffs))
+    polys = [VectorField(X.dim, tuple(next(cleared) for _ in X.coeffs)) for X in fields]
+    key_index: dict = {}
+    return _constant_rank(coefficient_rows(polys, key_index), len(key_index)) == len(fields)
 
 
 def span_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
-    """Exact equality of constant-coefficient spans of polynomial fields."""
-    both, _ = _span_matrix(list(a) + list(b))
-    ra = exactla.rank(both[: len(a)])
-    rb = exactla.rank(both[len(a):])
-    rab = exactla.rank(both)
-    return ra == rb == rab
+    """Exact equality over Q(params) of the constant-coefficient spans of
+    polynomial fields."""
+    key_index: dict = {}
+    rows = coefficient_rows(list(a) + list(b), key_index)
+    width = len(key_index)
+    ra = _constant_rank(rows[: len(a)], width)
+    rb = _constant_rank(rows[len(a):], width)
+    return ra == rb == _constant_rank(rows, width)
 
 
 # ---------------------------------------------------------------------------

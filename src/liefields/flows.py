@@ -42,51 +42,45 @@ _SERIES_DEFAULT_ORDER = 24
 _SERIES_RETRY_THRESHOLD = 1e-10
 
 
-def _poly_tables(X: VectorField):
-    """Coefficient monomial tables [(float coeff, exponent tuple), ...]."""
+def _flow_series(X: VectorField, x0: Sequence[float], order: int) -> list:
+    """Taylor coefficients a[k][i] of the flow x_i(t) = sum_k a[k][i] t^k,
+    built from the coefficient recurrence a_{k+1} = xi(x(t))_k / (k+1).
+
+    Each monomial keeps one running series per partial product of its
+    factors, so order k adds one Cauchy coefficient per factor: a sum over
+    j ascending of a_j * b_(k-j), zero terms skipped."""
+    n = X.dim
+    series = [[0.0] * (order + 1) for _ in range(n)]
+    for i in range(n):
+        series[i][0] = float(x0[i])
+    unit = [1.0] + [0.0] * order
+    # per coordinate: (coefficient, first factor, [(next factor, partial product)])
     tables = []
     for c in X.coeffs:
         if not E.is_polynomial(c):
             raise E.NonPolynomialError("series flow needs polynomial coefficients")
         rows = []
-        for expo, val in E.poly_coefficients(c, X.dim).items():
+        for expo, val in E.poly_coefficients(c, n).items():
             cv = val.constant_value()
             if cv is None:
                 raise E.ExprError("instantiate parameters before integrating")
-            rows.append((float(cv), expo))
+            factors = [series[v] for v, e in enumerate(expo) for _ in range(e)] or [unit]
+            rows.append((float(cv), factors[0], [(b, [0.0] * (order + 1)) for b in factors[1:]]))
         tables.append(rows)
-    return tables
-
-
-def _series_mul_trunc(a: list, b: list, order: int) -> list:
-    out = [0.0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0.0:
-            continue
-        top = order - i
-        for j, bj in enumerate(b[: top + 1]):
-            if bj != 0.0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _flow_series(X: VectorField, x0: Sequence[float], order: int) -> list:
-    """Taylor coefficients a[k][i] of the flow x_i(t) = sum_k a[k][i] t^k,
-    built from the coefficient recurrence a_{k+1} = xi(x(t))_k / (k+1)."""
-    n = X.dim
-    tables = _poly_tables(X)
-    series = [[0.0] * (order + 1) for _ in range(n)]
-    for i in range(n):
-        series[i][0] = float(x0[i])
     for k in range(order):
         for i in range(n):
             acc = 0.0
-            for coeff, expo in tables[i]:
-                prod = [0.0] * (order + 1)
-                prod[0] = 1.0
-                for v, e in enumerate(expo):
-                    for _ in range(e):
-                        prod = _series_mul_trunc(prod, series[v], k)
+            for coeff, prod, partials in tables[i]:
+                for b, out in partials:
+                    c = 0.0
+                    for j in range(k + 1):
+                        a = prod[j]
+                        if a != 0.0:
+                            bj = b[k - j]
+                            if bj != 0.0:
+                                c += a * bj
+                    out[k] = c
+                    prod = out
                 acc += coeff * prod[k]
             series[i][k + 1] = acc / (k + 1)
     return series
@@ -212,11 +206,6 @@ def one_param_group_law_check(X: VectorField, x0, t1: float, t2: float,
 # complete systems
 
 
-def _function_span_rank(fields_: Sequence[VectorField], seed: int, points: int = 8):
-    """Pointwise max rank used for function-span decisions."""
-    return F.generic_rank(fields_, seed=seed, points=points)
-
-
 def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
     """Prune function-dependent inputs, then adjoin brackets falling outside
     the function span until stable. Returns (completed fields, log)."""
@@ -226,27 +215,21 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
         if f.is_zero:
             log.append(f"dropped zero field #{i + 1}")
             continue
-        trial = kept + [f]
-        if _function_span_rank(trial, seed, points=12) > (
-            _function_span_rank(kept, seed, points=12) if kept else 0
-        ):
+        # kept is independent over functions: its rank is len(kept)
+        if F.generic_rank(kept + [f], seed=seed, points=12) > len(kept):
             kept.append(f)
         else:
             log.append(f"pruned function-dependent field #{i + 1}")
     n = kept[0].dim if kept else 0
     changed = True
-    while changed:
+    while changed and len(kept) < n:
         changed = False
-        current_rank = _function_span_rank(kept, seed, points=12)
-        if current_rank >= n:
-            break
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 B = F.bracket(kept[i], kept[j])
                 if B.is_zero:
                     continue
-                trial = kept + [B]
-                if _function_span_rank(trial, seed, points=12) > current_rank:
+                if F.generic_rank(kept + [B], seed=seed, points=12) > len(kept):
                     kept.append(B)
                     log.append(f"adjoined [#{i + 1}, #{j + 1}]")
                     changed = True
@@ -258,13 +241,13 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
 
 def completion_certificate(fields_: Sequence[VectorField], seed: int = 0) -> bool:
     """Re-verify that all pairwise brackets lie in the function span."""
-    base_rank = _function_span_rank(fields_, seed, points=12)
+    base_rank = F.generic_rank(fields_, seed=seed, points=12)
     for i in range(len(fields_)):
         for j in range(i + 1, len(fields_)):
             B = F.bracket(fields_[i], fields_[j])
             if B.is_zero:
                 continue
-            if _function_span_rank(list(fields_) + [B], seed, points=12) > base_rank:
+            if F.generic_rank(list(fields_) + [B], seed=seed, points=12) > base_rank:
                 return False
     return True
 

@@ -133,6 +133,12 @@ class TestFlowAndMonodromy:
         assert code == 0
         assert out.startswith("endpoint: 1.5, 0, 0")
 
+    def test_flow_backwards(self, euclid_file, capsys):
+        code, out, _ = run(
+            ["flow", euclid_file, "--gen", "1", "--from", "0,0,0", "--t", "-1.5"], capsys)
+        assert code == 0
+        assert out.startswith("endpoint: -1.5, 0, 0")
+
     def test_flow_csv(self, euclid_file, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
         code, _, _ = run(
@@ -205,15 +211,49 @@ class TestUsageErrors:
          "error: --gen-combo must be a rational number, got '1/0'\n"),
         (["monodromy", "{f}", "--gen-combo", "0,0,0,x,0,0", "--from", "1,0,0"],
          "error: --gen-combo must be a rational number, got 'x'\n"),
+        (["closure", "{d}/missing.alg"],
+         "error: cannot read {d}/missing.alg: No such file or directory\n"),
+        (["closure", "{d}"], "error: cannot read {d}: Is a directory\n"),
+        (["closure", "{d}/latin1.alg"],
+         "error: cannot read {d}/latin1.alg: not UTF-8 text (byte 7)\n"),
+        (["flow", "{f}", "--gen", "1", "--from", "0,0,0", "--t", "1",
+          "--csv", "{d}/no/such/dir/x.csv"],
+         "error: cannot write --csv {d}/no/such/dir/x.csv: No such file or directory\n"),
+        (["flow", "{m}", "--gen", "1", "--from", "1,0,0", "--t", "nan"],
+         "error: argument --t: must be finite, got nan\n"),
+        (["flow", "{m}", "--gen", "1", "--from", "1,0,0", "--t", "1e999"],
+         "error: argument --t: must be finite, got inf\n"),
+        (["flow", "{m}", "--gen", "1", "--from", "1,0,0", "--t", "one"],
+         "error: argument --t: invalid float value: 'one'\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--t-max", "-1"],
+         "error: argument --t-max: must be finite and > 0, got -1.0\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--t-max", "nan"],
+         "error: argument --t-max: must be finite and > 0, got nan\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--tol", "nan"],
+         "error: argument --tol: must be finite and > 0, got nan\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--tol", "-1"],
+         "error: argument --tol: must be finite and > 0, got -1.0\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--tol", "0"],
+         "error: argument --tol: must be finite and > 0, got 0.0\n"),
     ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
             "invariants-points-negative", "verify-points-0", "invariants-points-not-int",
             "param-zero-denominator", "param-not-a-number", "from-zero-denominator",
-            "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number"])
-    def test_exit_2_with_one_line(self, euclid_file, argv, message, capsys):
-        code, out, err = run([a.format(f=euclid_file, p=ALGEBRAS / "ex87-51.alg")
-                              for a in argv], capsys)
+            "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number",
+            "file-missing", "file-is-directory", "file-not-utf8", "csv-unwritable",
+            "t-nan", "t-infinite", "t-not-a-number", "t-max-negative", "t-max-nan",
+            "tol-nan", "tol-negative", "tol-zero"])
+    def test_exit_2_with_one_line(self, euclid_file, tmp_path, argv, message, capsys):
+        (tmp_path / "latin1.alg").write_bytes(b"vars: x\xe9\nfield: p\n")
+        keys = dict(f=euclid_file, p=ALGEBRAS / "ex87-51.alg", m=ALGEBRAS / "ex94-24.alg",
+                    d=tmp_path)
+        code, out, err = run([a.format(**keys) for a in argv], capsys)
         assert code == 2 and not out
-        assert err == message
+        assert err == message.format(**keys)
 
     def test_missing_argument_one_line(self, capsys):
         code, out, err = run(["flow"], capsys)

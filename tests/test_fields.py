@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefields import exactla, expr as E
+from liefields import algebra as A, exactla, expr as E
 from liefields import fields as F
 
 
@@ -92,13 +92,26 @@ class TestRanks:
     def test_independence_simple(self):
         assert F.linear_independence_over_constants([fld("p"), fld("q"), fld("x*q")])
         assert not F.linear_independence_over_constants([fld("q"), fld("3*q")])
+        # a monomial above any truncation degree still counts
+        assert F.linear_independence_over_constants([fld("p"), fld("x^5*p")])
+        A.presentation("quintic", V3, ["p", "x^5*p"]).validate()
+        # one common clearing monomial keeps the relation X1 + X2 = X3 ...
+        assert not F.linear_independence_over_constants(
+            [fld("(x+1)^-1*p"), fld("x*(x+1)^-1*p"), fld("p")])
+        # ... and a relation with a parameter coefficient is one over Q(c)
+        assert not F.linear_independence_over_constants(
+            [fld("p", params=["c"]), fld("c*p", params=["c"])])
+
+    def test_independence_rejects_function_nodes(self):
+        with pytest.raises(E.NonPolynomialError):
+            F.linear_independence_over_constants([fld("p"), fld("log(x)*p")])
 
     def test_independence_group_24_degree_two_matrix(self):
         gens = ["p", "q", "x*p + y*q + r", "y*p - x*q",
                 "(x^2 - y^2)*p + 2*x*y*q + 2*x*r",
                 "2*x*y*p + (y^2 - x^2)*q + 2*y*r"]
         fields = [fld(s) for s in gens]
-        assert F.linear_independence_over_constants(fields, max_degree=2)
+        assert F.linear_independence_over_constants(fields)
         # independent oracle: hand-built coefficient matrix over the monomial
         # basis {1, x, y, z, x^2, xy, y^2} per coordinate, exact rank
         monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 0)]
@@ -176,6 +189,10 @@ class TestSpanComparison:
 
     def test_span_mismatch_detected(self):
         assert not F.span_equal([fld("p")], [fld("q")])
+
+    def test_span_over_parameter_field(self):
+        assert F.span_equal([fld("c*p + q", params=["c"])], [fld("p + c^-1*q", params=["c"])])
+        assert not F.span_equal([fld("c*p", params=["c"])], [fld("x*p", params=["c"])])
 
 
 @st.composite

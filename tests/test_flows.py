@@ -148,6 +148,50 @@ class TestKernelBitIdentity:
         assert traj.drift["J"] > 0.0
 
 
+def reference_flow_series(X, x0, order):
+    """The recurrence that rebuilds every monomial product at each order: the
+    reference _flow_series must match bit for bit."""
+
+    def mul_trunc(a, b, top):
+        out = [0.0] * (top + 1)
+        for i, ai in enumerate(a):
+            if ai == 0.0:
+                continue
+            for j, bj in enumerate(b[: top - i + 1]):
+                if bj != 0.0:
+                    out[i + j] += ai * bj
+        return out
+
+    tables = [[(float(val.constant_value()), expo)
+               for expo, val in E.poly_coefficients(c, X.dim).items()] for c in X.coeffs]
+    series = [[float(v)] + [0.0] * order for v in x0]
+    for k in range(order):
+        for i in range(X.dim):
+            acc = 0.0
+            for coeff, expo in tables[i]:
+                prod = [1.0] + [0.0] * order
+                for v, e in enumerate(expo):
+                    for _ in range(e):
+                        prod = mul_trunc(prod, series[v], k)
+                acc += coeff * prod[k]
+            series[i][k + 1] = acc / (k + 1)
+    return series
+
+
+class TestSeriesBitIdentity:
+    @pytest.mark.parametrize("order", [24, 48])
+    def test_catalog_generators(self, order):
+        rng = random.Random(order)
+        for eid, g in _catalog_generators():
+            start = [rng.uniform(-0.5, 0.5) for _ in range(g.dim)]
+            assert FL._flow_series(g, start, order) == reference_flow_series(g, start, order), eid
+
+    def test_square_law_exact(self):
+        # x' = x^2 from 1/2 is 1/(2 - t): coefficient k is 2^-(k+1), exact in floats
+        series = FL._flow_series(fld("x^2*d1", ["x"]), [0.5], 48)
+        assert series[0] == [2.0 ** -(k + 1) for k in range(49)]
+
+
 class TestGroupLaw:
     def test_translation_zero_deviation(self):
         dev = FL.one_param_group_law_check(fld("p"), F.Point((0.0, 0.0, 0.0)), 0.3, 0.4)
