@@ -77,6 +77,9 @@ def parse_algebra_file(text: str, name: str = "algebra") -> AlgebraFile:
             expectations[ekey.strip()] = _parse_expect_value(evalue.strip())
         else:
             raise AlgebraFileError(f"line {lineno}: unknown key {key!r}")
+        repeated = F.repeated_name(vars_ or (), params)
+        if repeated is not None:
+            raise AlgebraFileError(f"line {lineno}: name {repeated!r} is given twice among vars and params")
     if vars_ is None:
         raise AlgebraFileError("missing 'vars:' line")
     if not fields_:

@@ -9,7 +9,6 @@ argument or in SEED is a usage error that names the value."""
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import os
 import sys
@@ -238,19 +237,18 @@ def _dispatch(args, seed: int) -> int:
         for idx, J in enumerate(af.invariants()):
             if J.s == 1:
                 tracked[f"invariant[{idx}]"] = J.body
-        try:
-            csv = open(args.csv, "w", encoding="utf-8") if args.csv else contextlib.nullcontext()
-        except OSError as err:
-            raise UsageError(f"cannot write --csv {args.csv}: {err.strerror}") from None
-        with csv as fh:
-            traj = FL.numeric_flow(X, F.Point(start), args.t, args.steps,
-                                   tracked=tracked or None, record=fh is not None)
-            print("endpoint: " + ", ".join(_fmt(v) for v in traj.endpoint))
-            for label in sorted(traj.drift):
-                print(f"drift {label}: {_fmt(traj.drift[label])}")
-            if fh is not None:
-                for t, pt in traj.samples:
-                    fh.write(",".join([_fmt(t)] + [_fmt(v) for v in pt]) + "\n")
+        traj = FL.numeric_flow(X, F.Point(start), args.t, args.steps,
+                               tracked=tracked or None, record=bool(args.csv))
+        if args.csv:
+            try:
+                with open(args.csv, "w", encoding="utf-8") as fh:
+                    for t, pt in traj.samples:
+                        fh.write(",".join([_fmt(t)] + [_fmt(v) for v in pt]) + "\n")
+            except OSError as err:
+                raise UsageError(f"cannot write --csv {args.csv}: {err.strerror}") from None
+        print("endpoint: " + ", ".join(_fmt(v) for v in traj.endpoint))
+        for label in sorted(traj.drift):
+            print(f"drift {label}: {_fmt(traj.drift[label])}")
         return 0
 
     if args.command == "monodromy":

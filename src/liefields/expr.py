@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import upoly
+
 LOG, EXP, ATAN, SQRT = range(4)
 FN_NAMES = {LOG: "log", EXP: "exp", ATAN: "atan", SQRT: "sqrt"}
 FN_KINDS = {name: kind for kind, name in FN_NAMES.items()}
@@ -356,16 +358,6 @@ def inverse(e: Expr) -> Expr:
     return out
 
 
-def _perfect_sqrt(q: Fraction):
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def fn(kind: int, arg: Expr) -> Expr:
     cv = arg.constant_value()
     if cv is not None:
@@ -376,7 +368,7 @@ def fn(kind: int, arg: Expr) -> Expr:
         if kind == ATAN and cv == 0:
             return ZERO
         if kind == SQRT:
-            r = _perfect_sqrt(cv)
+            r = upoly.rational_sqrt(cv)
             if r is not None:
                 return const(r)
     return Expr((((((_F, kind, arg), 1),), Fraction(1)),))
@@ -657,11 +649,13 @@ def is_identically_zero(e: Expr, seed: int = 0) -> Zeroness:
     attempts = 0
     while hits < _ZT_SAMPLES and attempts < _ZT_SAMPLES * 20:
         attempts += 1
-        coords = {i: float(rational()) for i in vs}
+        coords = [0.0] * (max(vs, default=-1) + 1)
+        for i in vs:
+            coords[i] = float(rational())
         pars = {j: float(rational()) for j in ps}
         try:
-            value = evaluate_numeric(e, _DictPoint(coords), pars)
-        except (DomainError, OverflowError):
+            value = evaluate_numeric(e, coords, pars)
+        except DomainError:
             continue
         if abs(value) >= _ZT_TOL:
             return Zeroness.NO
@@ -669,93 +663,32 @@ def is_identically_zero(e: Expr, seed: int = 0) -> Zeroness:
     return Zeroness.UNKNOWN
 
 
-class _DictPoint:
-    """Sparse coordinate access used by the zero-test sampler."""
-
-    def __init__(self, d):
-        self.d = d
-
-    def __getitem__(self, i):
-        return self.d.get(i, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate_numeric(e: Expr, coords, params: Mapping[int, float] | None = None) -> float:
-    params = params or {}
-    total = 0.0
-    for mon, c in e.terms:
-        value = float(c)
-        for factor, ex in mon:
-            tag = factor[0]
-            if tag == _V:
-                base = float(coords[factor[1]])
-            elif tag == _P:
-                if factor[1] not in params:
-                    raise ExprError(f"missing value for parameter #{factor[1]}")
-                base = float(params[factor[1]])
-            elif tag == _F:
-                a = evaluate_numeric(factor[2], coords, params)
-                kind = factor[1]
-                if kind == LOG:
-                    if a <= 0.0:
-                        raise DomainError("log of non-positive argument", fn(LOG, factor[2]))
-                    base = math.log(a)
-                elif kind == EXP:
-                    try:
-                        base = math.exp(a)
-                    except OverflowError as err:
-                        raise DomainError("exp overflow", fn(EXP, factor[2])) from err
-                elif kind == ATAN:
-                    base = math.atan(a)
-                else:
-                    if a < 0.0:
-                        raise DomainError("sqrt of negative argument", fn(SQRT, factor[2]))
-                    base = math.sqrt(a)
-            else:
-                base = evaluate_numeric(factor[1], coords, params)
-            if ex < 0 and base == 0.0:
-                culprit = factor[1] if tag == _Q else var(factor[1]) if tag == _V else None
-                raise DomainError("division by zero", culprit)
-            value *= base**ex
-        total += value
-    return total
+def numeric_source(e: Expr, var: str = "X[{}]", consts: list | None = None) -> str:
+    """Python source evaluating e: the one definition of evaluation, behind
+    every evaluator and the RK4 kernel. ``var.format(i)`` spells coordinate i
+    and ``P[j]`` parameter j.
 
-
-def evaluate_exact(e: Expr, coords: Sequence[Fraction], params: Mapping[int, Fraction] | None = None) -> Fraction:
-    params = params or {}
-    total = Fraction(0)
-    for mon, c in e.terms:
-        value = c
-        for factor, ex in mon:
-            tag = factor[0]
-            if tag == _V:
-                base = Fraction(coords[factor[1]])
-            elif tag == _P:
-                if factor[1] not in params:
-                    raise ExprError(f"missing value for parameter #{factor[1]}")
-                base = Fraction(params[factor[1]])
-            elif tag == _F:
-                raise NonPolynomialError("exact evaluation of function node")
-            else:
-                base = evaluate_exact(factor[1], coords, params)
-            if ex < 0 and base == 0:
-                raise DomainError("division by zero", factor[1] if tag == _Q else None)
-            value *= base**ex
-        total += value
-    return total
-
-
-def numeric_source(e: Expr, var: str = "X[{}]") -> str:
-    """Python source of a float evaluation of e. ``var.format(i)`` spells
-    coordinate i and ``P[j]`` parameter j; the source needs ``math`` in scope.
-    Every compiled evaluator is emitted here, so all of them do the same
-    float operations in the same order."""
+    Float flavour (consts None): coefficients are float literals and function
+    nodes call ``math``, which must be in scope, so every float evaluator does
+    the same operations in the same order. Exact flavour: each coefficient is
+    appended to consts as a Fraction and spelled ``C[k]``, a negative power
+    divides, so int and Fraction inputs give a Fraction; a function node
+    raises NonPolynomialError."""
+    exact = consts is not None
+    terms = e.terms
+    if exact and not terms:
+        terms = (((), Fraction(0)),)  # the exact zero is the Fraction 0
     parts = []
-    for mon, c in e.terms:
-        bits = [repr(float(c))]
+    for mon, c in terms:
+        if exact:
+            consts.append(Fraction(c))
+            term = f"C[{len(consts) - 1}]"
+        else:
+            term = repr(float(c))
         for factor, k in mon:
             tag = factor[0]
             if tag == _V:
@@ -763,35 +696,58 @@ def numeric_source(e: Expr, var: str = "X[{}]") -> str:
             elif tag == _P:
                 b = f"P[{factor[1]}]"
             elif tag == _F:
+                if exact:
+                    raise NonPolynomialError("exact evaluation of function node")
                 b = f"math.{FN_NAMES[factor[1]]}({numeric_source(factor[2], var)})"
             else:
-                b = f"({numeric_source(factor[1], var)})"
-            if k == 1:
-                bits.append(b)
-            else:
-                bits.append(f"({b})**{k}")
-        parts.append("*".join(bits))
+                b = f"({numeric_source(factor[1], var, consts)})"
+            op = "*"
+            if exact and k < 0:
+                op, k = "/", -k
+            term += op + (b if k == 1 else f"({b})**{k}")
+        parts.append(term)
     return "(" + " + ".join(parts) + ")" if parts else "0.0"
 
 
+@lru_cache(maxsize=4096)
+def _kernel(e: Expr, exact: bool) -> Callable:
+    """``f(X, P)`` compiled from numeric_source in one flavour; C holds the
+    exact flavour's coefficients."""
+    consts = [] if exact else None
+    ctx = {"math": math, "C": consts}
+    exec("def f(X, P):\n    return " + numeric_source(e, "X[{}]", consts), ctx)
+    return ctx["f"]
+
+
+def _run(e: Expr, exact: bool, coords, params):
+    """Evaluate one kernel, with the one error mapping of every evaluator."""
+    try:
+        return _kernel(e, exact)(coords, params or {})
+    except KeyError as err:
+        raise ExprError(f"missing value for parameter #{err.args[0]}") from None
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise DomainError(f"numeric evaluation failed: {err}", e) from err
+
+
+def evaluate_numeric(e: Expr, coords, params: Mapping[int, float] | None = None) -> float:
+    """Float value of e at float coordinates and parameters."""
+    return _run(e, False, coords, params)
+
+
+def evaluate_exact(e: Expr, coords: Sequence[Fraction], params: Mapping[int, Fraction] | None = None) -> Fraction:
+    """Exact value of e at int or Fraction coordinates and parameters, used
+    as given: a float among them raises TypeError."""
+    value = _run(e, True, coords, params)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact evaluation needs int or Fraction values, got {type(value).__name__}")
+    return value
+
+
 def compile_numeric(e: Expr) -> Callable:
-    """Compile to a fast float evaluator ``f(coords, params) -> float``.
-
-    Domain problems surface as DomainError without the precise culprit; the
-    interpreting evaluator stays the reference for error reporting.
-    """
-    ctx = {"math": math}
-    src = "def _f(X, P):\n    return " + numeric_source(e)
-    exec(src, ctx)
-    raw = ctx["_f"]
-
-    def wrapped(coords, params=None):
-        try:
-            return raw(coords, params or {})
-        except (ValueError, ZeroDivisionError, OverflowError) as err:
-            raise DomainError(f"numeric evaluation failed: {err}", e) from err
-
-    return wrapped
+    """Float evaluator ``f(coords, params=None) -> float`` running the cached
+    float kernel of e on the values as given. Domain problems raise
+    DomainError naming e as the culprit."""
+    return lambda coords, params=None: _run(e, False, coords, params)
 
 
 # ---------------------------------------------------------------------------

@@ -347,11 +347,24 @@ def _replace_idents(text: str, mapping: dict) -> str:
     return "".join(out)
 
 
+def repeated_name(vars: Sequence[str], params: Sequence[str] = ()):
+    """A name that appears twice among vars and params, or None."""
+    seen = set()
+    for name in (*vars, *params):
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 def parse_field(text: str, vars: Sequence[str], params: Sequence[str] = ()) -> VectorField:
     """Parse a field literal such as "x^2*p + 2*x*r" or "y*d1 - x*d2": an
     expression over the variables extended by one basis token per coordinate,
     linear homogeneous in the tokens. Both the p/q/r shorthand (dims <= 3) and
     the positional d1..dn spelling are accepted."""
+    name = repeated_name(vars, params)
+    if name is not None:
+        raise FieldError(f"name {name!r} is given twice among the variables and parameters")
     dim = len(vars)
     tokens = basis_tokens(dim)
     aliases = [f"d{i + 1}" for i in range(dim)]

@@ -329,12 +329,6 @@ def _cross(u, v):
     ]
 
 
-def _direction_conditions_2d(mats, v):
-    """One row per isotropy matrix: det[J v, v] (proportionality residual)."""
-    return [[J[0][0] * v[0] * v[1] + J[0][1] * v[1] * v[1]
-             - J[1][0] * v[0] * v[0] - J[1][1] * v[0] * v[1]] for J in mats]
-
-
 def _common_fixed_direction_2d(mats):
     """Exact search for v != 0 with J v parallel to v for every J: common real
     root of the per-matrix quadratics q(s) = det[J (1,s), (1,s)] plus the
@@ -354,6 +348,7 @@ def _common_fixed_direction_2d(mats):
 
 
 def _det2_prop(J, v):
+    """det[J v, v]: zero iff J v is parallel to v."""
     return J[0][0] * v[0] * v[1] + J[0][1] * v[1] * v[1] - J[1][0] * v[0] * v[0] - J[1][1] * v[0] * v[1]
 
 
@@ -448,7 +443,8 @@ def free_mobility_infinitesimal(L: A.LieAlgebraPresentation, base=None, seed: in
             v = [F.random_rational(rng) for _ in range(2)]
             if all(x == 0 for x in v):
                 continue
-            rows = _direction_conditions_2d(mats, v)
+            # coefficient of lambda_k in det[J(lambda) v, v]
+            rows = [[_det2_prop(J, v) for J in mats]]
             if _stabilizer_dim(mats, rows) != 0:
                 return MobilityVerdict(False, "line-element: motion survives fixing a generic line element", tuple(v))
         return MobilityVerdict(True)

@@ -263,7 +263,10 @@ class Periodicity(NamedTuple):
     reason: str
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+def rational_sqrt(q: Fraction) -> Optional[Fraction]:
+    """The rational square root of q, or None when q has none."""
+    if q < 0:
+        return None
     num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
     return Fraction(num, den) if num * num == q.numerator and den * den == q.denominator else None
 
@@ -305,7 +308,7 @@ def periodicity(M: Sequence[Sequence]) -> Periodicity:
     if roots[-1] > 0:
         return Periodicity(None, f"has real eigenvalues ±√{roots[-1]}, charpoly {shown}")
     squares = sorted(-u for u in roots)
-    ratios = [_rational_sqrt(w / squares[0]) for w in squares]
+    ratios = [rational_sqrt(w / squares[0]) for w in squares]
     if None in ratios:
         return Periodicity(None, f"has incommensurable frequencies, charpoly {shown}")
     # omega_k = omega_1 * ratio_k; the fundamental omega is omega_1 * gcd(ratios)

@@ -139,6 +139,16 @@ class TestFlowAndMonodromy:
         assert code == 0
         assert out.startswith("endpoint: -1.5, 0, 0")
 
+    def test_failed_flow_leaves_no_csv(self, tmp_path, capsys):
+        path = tmp_path / "pole.alg"
+        path.write_text("vars: x\nfield: x^-1*p\n")
+        csv = tmp_path / "traj.csv"
+        code, out, err = run(["flow", str(path), "--gen", "1", "--from", "0", "--t", "1",
+                              "--csv", str(csv)], capsys)
+        assert code == 1 and not out
+        assert err.startswith("error: numeric evaluation failed")
+        assert not csv.exists()
+
     def test_flow_csv(self, euclid_file, tmp_path, capsys):
         csv = tmp_path / "traj.csv"
         code, _, _ = run(
@@ -180,6 +190,29 @@ class TestFlowAndMonodromy:
                               "--from", "1,1/2,0", "--steps", "5"], capsys)
         assert code == 1 and not out
         assert err.startswith("error: exact: affine, A semisimple") and "misses by" in err
+
+
+class TestRepeatedNames:
+    """A name given twice among the variables and parameters is malformed
+    input: exit 2 with one line, instead of binding the name silently."""
+
+    @pytest.mark.parametrize("text, line, name", [
+        ("vars: x x\nfield: p\nfield: x*q\n", 1, "x"),
+        ("vars: x y\nparams: x\nfield: p\n", 2, "x"),
+        ("params: c y\nvars: x y\nfield: p\n", 2, "y"),
+        ("vars: x\nparams: c c\nfield: p\n", 2, "c"),
+    ], ids=["vars", "var-and-param", "param-then-var", "params"])
+    def test_algebra_file(self, text, line, name, tmp_path, capsys):
+        path = tmp_path / "repeat.alg"
+        path.write_text(text)
+        code, out, err = run(["closure", str(path)], capsys)
+        assert code == 2 and not out
+        assert err == f"error: line {line}: name {name!r} is given twice among vars and params\n"
+
+    def test_bracket_vars(self, capsys):
+        code, out, err = run(["bracket", "p", "x*q", "--vars", "x x"], capsys)
+        assert code == 2 and not out
+        assert err == "error: name 'x' is given twice among the variables and parameters\n"
 
 
 class TestUsageErrors:

@@ -107,6 +107,129 @@ class TestDifferentiate:
         assert E.to_string(d, ["x"], ["c"]) == "2*x*c"
 
 
+small_coeff = st.integers(min_value=-4, max_value=4)
+
+
+@st.composite
+def polynomials(draw, nvars=2, max_terms=4, max_degree=3):
+    terms = draw(st.lists(
+        st.tuples(
+            small_coeff,
+            st.lists(st.integers(min_value=0, max_value=max_degree),
+                     min_size=nvars, max_size=nvars),
+        ),
+        min_size=1, max_size=max_terms,
+    ))
+    e = E.ZERO
+    for coeff, exps in terms:
+        piece = E.const(coeff)
+        for i, k in enumerate(exps):
+            piece = E.mul(piece, E.intpow(E.var(i), k))
+        e = E.add(e, piece)
+    return e
+
+
+def _power(pair):
+    base, k = pair
+    return base if k < 0 and base.is_zero else E.intpow(base, k)
+
+
+def _over_block(pair):
+    """a / (b + x0): an inverted block unless b + x0 is one term."""
+    a, b = pair
+    base = E.add(b, E.var(0))
+    return a if base.is_zero else E.mul(a, E.inverse(base))
+
+
+def exprs():
+    """Expressions in x0, x1 and c0 with inverted blocks and function nodes."""
+    leaves = st.one_of(st.sampled_from([E.var(0), E.var(1), E.param(0)]),
+                       small_coeff.map(E.const))
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(children, children).map(lambda ab: E.add(*ab)),
+            st.tuples(children, children).map(lambda ab: E.mul(*ab)),
+            st.tuples(children, st.integers(min_value=-2, max_value=2)).map(_power),
+            st.tuples(children, children).map(_over_block),
+            st.tuples(st.sampled_from([E.LOG, E.EXP, E.ATAN, E.SQRT]), children)
+            .map(lambda ka: E.fn(*ka)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+small_values = st.one_of(small_fractions.map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+
+
+# the interpreters that numeric_source replaced, kept as references
+
+
+def ref_evaluate_numeric(e, coords, params=None):
+    params = params or {}
+    total = 0.0
+    for mon, c in e.terms:
+        value = float(c)
+        for factor, ex in mon:
+            tag = factor[0]
+            if tag == E._V:
+                base = float(coords[factor[1]])
+            elif tag == E._P:
+                if factor[1] not in params:
+                    raise E.ExprError(f"missing value for parameter #{factor[1]}")
+                base = float(params[factor[1]])
+            elif tag == E._F:
+                a = ref_evaluate_numeric(factor[2], coords, params)
+                kind = factor[1]
+                if kind == E.LOG:
+                    if a <= 0.0:
+                        raise E.DomainError("log of non-positive argument")
+                    base = math.log(a)
+                elif kind == E.EXP:
+                    try:
+                        base = math.exp(a)
+                    except OverflowError as err:
+                        raise E.DomainError("exp overflow") from err
+                elif kind == E.ATAN:
+                    base = math.atan(a)
+                else:
+                    if a < 0.0:
+                        raise E.DomainError("sqrt of negative argument")
+                    base = math.sqrt(a)
+            else:
+                base = ref_evaluate_numeric(factor[1], coords, params)
+            if ex < 0 and base == 0.0:
+                raise E.DomainError("division by zero")
+            value *= base**ex
+        total += value
+    return total
+
+
+def ref_evaluate_exact(e, coords, params=None):
+    params = params or {}
+    total = Fraction(0)
+    for mon, c in e.terms:
+        value = c
+        for factor, ex in mon:
+            tag = factor[0]
+            if tag == E._V:
+                base = Fraction(coords[factor[1]])
+            elif tag == E._P:
+                if factor[1] not in params:
+                    raise E.ExprError(f"missing value for parameter #{factor[1]}")
+                base = Fraction(params[factor[1]])
+            elif tag == E._F:
+                raise E.NonPolynomialError("exact evaluation of function node")
+            else:
+                base = ref_evaluate_exact(factor[1], coords, params)
+            if ex < 0 and base == 0:
+                raise E.DomainError("division by zero")
+            value *= base**ex
+        total += value
+    return total
+
+
 class TestEvaluate:
     def test_simple(self):
         assert E.evaluate_numeric(parse("x^2 + y"), [2.0, 3.0]) == 7.0
@@ -134,13 +257,69 @@ class TestEvaluate:
         v = E.evaluate_exact(e, [Fraction(3), Fraction(1)])
         assert v == Fraction(3, 4)
 
-    def test_compiled_matches_interpreter(self):
-        e = parse("x^2*y - 1/2 + log(x^2 + 1) - atan(y)*x")
-        f = E.compile_numeric(e)
-        rng = random.Random(1)
-        for _ in range(25):
-            pt = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            assert f(pt) == pytest.approx(E.evaluate_numeric(e, pt), abs=1e-12)
+    def test_exact_evaluation_at_ints_divides(self):
+        v = E.evaluate_exact(parse("(x - y)^-2*x"), [3, 1])
+        assert v == Fraction(3, 4) and type(v) is Fraction
+
+    def test_exact_zero_is_fraction_zero(self):
+        v = E.evaluate_exact(E.ZERO, [])
+        assert v == 0 and type(v) is Fraction
+
+    def test_exact_evaluation_rejects_float_input(self):
+        with pytest.raises(TypeError):
+            E.evaluate_exact(parse("x*y"), [1.5, Fraction(1)])
+
+    def test_exact_evaluation_rejects_function_node(self):
+        with pytest.raises(E.NonPolynomialError):
+            E.evaluate_exact(parse("x + exp(y)"), [Fraction(1), Fraction(0)])
+
+    @pytest.mark.parametrize("evaluate", [
+        E.evaluate_numeric, E.evaluate_exact, lambda e, coords: E.compile_numeric(e)(coords)],
+        ids=["numeric", "exact", "compiled"])
+    def test_missing_parameter_names_it(self, evaluate):
+        e = E.parse_expression("c*x + d", ["x"], ["c", "d"])
+        with pytest.raises(E.ExprError, match="missing value for parameter #0"):
+            evaluate(e, [1])
+
+    def test_compiled_domain_error(self):
+        f = E.compile_numeric(parse("log(x) + y"))
+        with pytest.raises(E.DomainError):
+            f([0.0, 1.0])
+
+    @given(exprs(), st.lists(small_values, min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_float_flavour_matches_interpreter(self, e, values):
+        """Equal floats, or DomainError from both. The interpreter's sum starts
+        at 0.0, so it reads 0.0 where the kernel gives -0.0; nothing else
+        differs. The reference lets an overflow in ** escape as OverflowError."""
+        coords, params = values[:2], {0: values[2]}
+        try:
+            want = ref_evaluate_numeric(e, coords, params)
+        except (E.DomainError, OverflowError):
+            with pytest.raises(E.DomainError):
+                E.evaluate_numeric(e, coords, params)
+            with pytest.raises(E.DomainError):
+                E.compile_numeric(e)(coords, params)
+            return
+        for got in (E.evaluate_numeric(e, coords, params), E.compile_numeric(e)(coords, params)):
+            assert got == want or math.isnan(got) and math.isnan(want)
+
+    @given(exprs(), st.lists(small_fractions, min_size=3, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_exact_flavour_matches_interpreter(self, e, values):
+        coords, params = values[:2], {0: values[2]}
+        if E.contains_fn(e):
+            with pytest.raises(E.NonPolynomialError):
+                E.evaluate_exact(e, coords, params)
+            return
+        try:
+            want = ref_evaluate_exact(e, coords, params)
+        except E.DomainError:
+            with pytest.raises(E.DomainError):
+                E.evaluate_exact(e, coords, params)
+            return
+        got = E.evaluate_exact(e, coords, params)
+        assert got == want and type(got) is Fraction
 
 
 class TestZeroTest:
@@ -168,28 +347,6 @@ class TestZeroTest:
     def test_transcendental_nonzero(self):
         e = parse("exp(x) - x", ["x"])
         assert E.is_identically_zero(e) is E.Zeroness.NO
-
-
-small_coeff = st.integers(min_value=-4, max_value=4)
-
-
-@st.composite
-def polynomials(draw, nvars=2, max_terms=4, max_degree=3):
-    terms = draw(st.lists(
-        st.tuples(
-            small_coeff,
-            st.lists(st.integers(min_value=0, max_value=max_degree),
-                     min_size=nvars, max_size=nvars),
-        ),
-        min_size=1, max_size=max_terms,
-    ))
-    e = E.ZERO
-    for coeff, exps in terms:
-        piece = E.const(coeff)
-        for i, k in enumerate(exps):
-            piece = E.mul(piece, E.intpow(E.var(i), k))
-        e = E.add(e, piece)
-    return e
 
 
 class TestAlgebraProperties:
