@@ -40,8 +40,11 @@ def _default_seed() -> int:
     return _number(os.environ.get("SEED", "0"), "SEED", int)
 
 
-def _parse_point(text: str):
-    return tuple(_number(p, "--from") for p in text.split(","))
+def _parse_point(text: str, what: str = "--from", dim=None):
+    point = tuple(_number(p, what) for p in text.split(","))
+    if dim is not None and len(point) != dim:
+        raise UsageError(f"{what} needs {dim} coordinates, got {len(point)}")
+    return point
 
 
 def _require_instantiated(X, af) -> None:
@@ -136,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     mo.add_argument("--steps", type=_positive_int, default=20000)
     mo.add_argument("--tol", type=_positive_float, default=1e-6)
     mo.add_argument("--param", action="append", metavar="NAME=VALUE")
+    mo.add_argument("--fix", action="append", default=[], metavar="PT",
+                    help="a point where the combination vanishes, for the exact ad X "
+                         "criterion (repeatable)")
 
     mob = add_parser("mobility", help="free mobility in the infinitesimal")
     mob.add_argument("file")
@@ -158,12 +164,11 @@ def run(argv) -> int:
     try:
         return _dispatch(args, args.seed if args.seed is not None else _default_seed())
     except (UsageError, E.ParseError, algfile.AlgebraFileError, F.FieldError,
-            CAT.CatalogError) as err:
+            CAT.CatalogError, M.UnsupportedDimension) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except (E.ExprError, I.DomainExhausted, FL.DivergenceSuspected,
-            FL.NormalizationImpossible, A.NotTransitiveAtBase,
-            M.UnsupportedDimension, ValueError) as err:
+            FL.NormalizationImpossible, A.NotTransitiveAtBase, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -263,8 +268,10 @@ def _dispatch(args, seed: int) -> int:
         X = F.substitute_params(X, pv)
         _require_instantiated(X, af)
         start = F.Point(_parse_point(args.start))
-        period, note = M.return_period(L, X, weights, start, param_values=pv, t_max=args.t_max,
-                                       steps=args.steps, tol=args.tol, seed=seed)
+        fix = [_parse_point(p, "--fix", L.dim) for p in args.fix]
+        period, note = M.return_period(L, X, weights, start, fix, param_values=pv,
+                                       t_max=args.t_max, steps=args.steps, tol=args.tol,
+                                       seed=seed)
         verdict = "None" if period is None else f"period {_fmt(period)}"
         print(f"{verdict} ({note})")
         return 0

@@ -421,19 +421,48 @@ def monodromy_period(X: VectorField, x0, t_max: float = 20.0, tol: float = 1e-6,
     return sum(periods) / len(periods), diagnostics
 
 
-def return_misses(X: VectorField, x0, period: float, steps: int = 20000, starts: int = 8,
-                  seed: int = 0, scale: float = 1.0) -> List[float]:
+_FIRST_RUNG = 1000
+
+
+def return_misses(X: VectorField, x0, period: float, tol: float, steps: int = 20000,
+                  starts: int = 8, seed: int = 0, scale: float = 1.0) -> List[float]:
     """Max-norm distance of each start point from its image after one period,
-    integrated once with `steps` RK4 steps, for the first `starts` of
-    start_points(x0, seed, scale) whose integration stays in the domain
-    (at most 20 * starts tries, as in monodromy_period)."""
+    for the first `starts` of start_points(x0, seed, scale) whose integration
+    stays in the domain (at most 20 * starts tries, as in monodromy_period).
+
+    Each start is integrated over the period with RK4 at n = min(1000, steps)
+    steps, then at twice as many, up to `steps`. Once two rungs exist, d =
+    |miss(n) - miss(n / 2)| is the step-doubling estimate of the RK4 error of
+    miss(n): the start is accepted with miss(n) + d when that is below tol,
+    and rejected with miss(n) when miss(n) - d is not. At `steps` the plain
+    miss is recorded, so `steps` caps the work and a caller comparing each
+    miss with tol keeps its meaning there."""
     misses = []
     for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
         try:
-            end = numeric_flow(X, start, period, steps).endpoint
+            misses.append(_doubled_miss(X, start, period, tol, steps))
         except E.DomainError:
             continue
-        misses.append(max(abs(a - float(b)) for a, b in zip(end, start.coords)))
         if len(misses) == starts:
             break
     return misses
+
+
+def _doubled_miss(X: VectorField, start: F.Point, period: float, tol: float,
+                  steps: int) -> float:
+    """The miss of one start, recorded by the step-doubling rule of
+    return_misses."""
+    coords = [float(v) for v in start.coords]
+    n, previous = min(_FIRST_RUNG, steps), None
+    while True:
+        end = numeric_flow(X, start, period, n).endpoint
+        miss = max(abs(a - b) for a, b in zip(end, coords))
+        if n == steps:
+            return miss
+        if previous is not None:
+            d = abs(miss - previous)
+            if miss + d < tol:
+                return miss + d
+            if miss - d >= tol:
+                return miss
+        n, previous = min(2 * n, steps), miss

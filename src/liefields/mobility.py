@@ -101,7 +101,8 @@ def affine_matrix(X: F.VectorField) -> Optional[List[List[Fraction]]]:
 
 
 class ReturnMismatch(ValueError):
-    """An exact period that one integration over it does not confirm."""
+    """An exact period that integrating over it (flows.return_misses) does not
+    confirm."""
 
 
 def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[Fraction],
@@ -115,9 +116,11 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
 
     X is decided exactly where one of the criteria of _exact_period applies,
     and the note starts with ``exact: ``. A period found that way is
-    cross-checked by integrating once over it, with `steps` RK4 steps, from
-    each of the eight start points of flows.monodromy_period around `start`;
-    a miss of tol or more raises ReturnMismatch. Any other X falls back to
+    cross-checked by integrating over it from each of the eight start points
+    of flows.monodromy_period around `start`, doubling the RK4 steps from
+    1,000 up to at most `steps` until the step-doubling error estimate
+    settles the miss against tol (flows.return_misses); a miss of tol or
+    more raises ReturnMismatch. Any other X falls back to
     flows.monodromy_period with t_max, tol and steps, and the note starts with
     ``numeric: ``. Start points are drawn around `start` at `scale`. `fix`
     lists the candidate fixed points of criterion (ii). `constants` returns
@@ -137,7 +140,8 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
     if omega_squared is None:
         return None, note
     period = 2 * math.pi / math.sqrt(omega_squared)
-    misses = FL.return_misses(X, start, period, steps=steps, starts=8, seed=seed, scale=scale)
+    misses = FL.return_misses(X, start, period, tol, steps=steps, starts=8, seed=seed,
+                              scale=scale)
     worst = max(misses, default=math.inf)
     if len(misses) < 8 or not worst < tol:
         raise ReturnMismatch(f"{note}, period {period:.9f}, but a start misses by {worst:.3e}")
@@ -423,14 +427,14 @@ def free_mobility_infinitesimal(L: A.LieAlgebraPresentation, base=None, seed: in
     Every condition is an exact rank computation on the linear isotropy."""
     n = L.dim
     if n not in (2, 3):
-        raise UnsupportedDimension("free mobility implemented for n in {2, 3}")
+        raise UnsupportedDimension(f"free mobility needs 2 or 3 variables, got {n}")
     if base is None:
         coords, params = A.find_generic_point(L, seed=seed, param_values=param_values)
     else:
         coords = [Fraction(v) for v in F._as_point(base).coords]
         params = dict(param_values or {})
     if not A.is_transitive(L, seed=seed, param_values=params or None):
-        raise A.NotTransitiveAtBase(L.name)
+        raise A.NotTransitiveAtBase(f"{L.name}: the algebra is not transitive at the base point")
     mats = _constant_matrices(A.linear_isotropy_group(L, F.Point(coords), params))
     if not mats:
         return MobilityVerdict(False, "point: no motion remains after fixing the point")

@@ -191,6 +191,15 @@ class TestFlowAndMonodromy:
         assert code == 1 and not out
         assert err.startswith("error: exact: affine, A semisimple") and "misses by" in err
 
+    def test_monodromy_fix_points_prove_the_period(self, capsys):
+        # criterion (ii) needs a zero of X where the algebra is transitive
+        code, out, _ = run(["monodromy", str(ALGEBRAS / "ex94-24.alg"),
+                            "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+                            "--t-max", "8", "--fix", "0,0,0", "--fix", "1,1,0"], capsys)
+        assert code == 0
+        assert out == ("period 6.28318530718 (exact: ad X semisimple, charpoly λ²(λ²+1)², "
+                       "returns at 6.283185307 (8 starts within 1e-6))\n")
+
 
 class TestRepeatedNames:
     """A name given twice among the variables and parameters is malformed
@@ -273,13 +282,19 @@ class TestUsageErrors:
         (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
           "--tol", "0"],
          "error: argument --tol: must be finite and > 0, got 0.0\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--fix", "0,0,0", "--fix", "1,1"],
+         "error: --fix needs 3 coordinates, got 2\n"),
+        (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+          "--fix", "1,x,0"],
+         "error: --fix must be a rational number, got 'x'\n"),
     ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
             "invariants-points-negative", "verify-points-0", "invariants-points-not-int",
             "param-zero-denominator", "param-not-a-number", "from-zero-denominator",
             "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number",
             "file-missing", "file-is-directory", "file-not-utf8", "csv-unwritable",
             "t-nan", "t-infinite", "t-not-a-number", "t-max-negative", "t-max-nan",
-            "tol-nan", "tol-negative", "tol-zero"])
+            "tol-nan", "tol-negative", "tol-zero", "fix-wrong-length", "fix-not-a-number"])
     def test_exit_2_with_one_line(self, euclid_file, tmp_path, argv, message, capsys):
         (tmp_path / "latin1.alg").write_bytes(b"vars: x\xe9\nfield: p\n")
         keys = dict(f=euclid_file, p=ALGEBRAS / "ex87-51.alg", m=ALGEBRAS / "ex94-24.alg",
@@ -300,6 +315,20 @@ class TestMobility:
         code, out, _ = run(["mobility", euclid_file], capsys)
         assert code == 0
         assert out.strip() == "free mobility: true"
+
+    def test_intransitive_algebra_named_as_such(self, tmp_path, capsys):
+        path = tmp_path / "two.alg"
+        path.write_text("vars: x y\nfield: p\n")
+        code, out, err = run(["mobility", str(path)], capsys)
+        assert code == 1 and not out
+        assert err == f"error: {path}: the algebra is not transitive at the base point\n"
+
+    def test_one_dimensional_input_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "line.alg"
+        path.write_text("vars: x\nfield: p\nfield: x*p\n")
+        code, out, err = run(["mobility", str(path)], capsys)
+        assert code == 2 and not out
+        assert err == "error: free mobility needs 2 or 3 variables, got 1\n"
 
 
 class TestCatalogCommand:

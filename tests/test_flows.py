@@ -334,3 +334,77 @@ class TestMonodromy:
                 assert abs(period - 2 * math.pi / cls.omega) < 1e-5
             elif cls.tag in ("Spiral", "Nilpotent", "RealHyperbolic"):
                 assert period is None, (M2, cls)
+
+
+def _count_steps(monkeypatch) -> list:
+    """Record (start coordinates, steps) of every numeric_flow call from here on."""
+    calls, flow = [], FL.numeric_flow
+
+    def counted(X, x0, t, steps, *args, **kwargs):
+        calls.append((F._as_point(x0).coords, steps))
+        return flow(X, x0, t, steps, *args, **kwargs)
+
+    monkeypatch.setattr(FL, "numeric_flow", counted)
+    return calls
+
+
+class TestReturnMisses:
+    """The cross-check of an exact period doubles the RK4 steps from 1,000
+    until the step-doubling estimate settles each miss against tol."""
+
+    ROTATION = fld("-y*p + x*q", V2)
+
+    def _miss(self, steps):
+        end = FL.numeric_flow(self.ROTATION, F.Point((1, 0)), 2 * math.pi, steps).endpoint
+        return max(abs(end[0] - 1), abs(end[1]))
+
+    def test_periodic_catalog_claims_stop_at_two_rungs(self, monkeypatch):
+        # both claims are decided exactly, so every integration is the cross-check
+        calls = _count_steps(monkeypatch)
+        for eid in ("ex94-24", "ex95-30-7"):
+            [check] = CAT.verify_entry(CAT.entry_by_id(eid), seed=0, checks=("monodromy",)).checks
+            assert check.status == "pass" and check.diagnostics.endswith("(8 starts within 1e-6)")
+        per_start = {}
+        for coords, steps in calls:
+            per_start[coords] = per_start.get(coords, 0) + steps
+        assert len(per_start) == 16
+        assert max(per_start.values()) <= 3000
+
+    def test_wrong_period_is_rejected_early(self, monkeypatch):
+        from liefields import mobility as M
+        exact = M._exact_period
+
+        def stretched(*args):
+            omega_squared, note = exact(*args)
+            return omega_squared / (1 + 1e-4) ** 2, note
+
+        monkeypatch.setattr(M, "_exact_period", stretched)
+        calls = _count_steps(monkeypatch)
+        L = CAT.entry_by_id("ex95-30-7").presentation()
+        start = F.Point((Fraction(1, 2), Fraction(9, 14)))
+        with pytest.raises(M.ReturnMismatch, match=r"period 6\.283813626, but a start misses "
+                                                   r"by 5\.707e-04"):
+            M.return_period(L, L.generators[0], [Fraction(1)], start, scale=0.5)
+        assert [steps for _, steps in calls] == [1000, 2000] * 8
+
+    def test_ladder_doubles_until_the_estimate_passes(self, monkeypatch):
+        # at 2,000 steps the estimate is about 8e-11; at 4,000 about 5e-12
+        calls = _count_steps(monkeypatch)
+        [miss] = FL.return_misses(self.ROTATION, (1, 0), 2 * math.pi, 1e-11, starts=1)
+        assert [steps for _, steps in calls] == [1000, 2000, 4000]
+        expected = self._miss(4000) + abs(self._miss(4000) - self._miss(2000))
+        assert miss == expected < 1e-11
+
+    def test_steps_cap_the_ladder(self, monkeypatch):
+        calls = _count_steps(monkeypatch)
+        [miss] = FL.return_misses(self.ROTATION, (1, 0), 2 * math.pi, 1e-14, steps=5000,
+                                  starts=1)
+        assert [steps for _, steps in calls] == [1000, 2000, 4000, 5000]
+        assert miss == self._miss(5000)
+
+    def test_few_steps_are_one_rung(self, monkeypatch):
+        calls = _count_steps(monkeypatch)
+        [miss] = FL.return_misses(self.ROTATION, (1, 0), 2 * math.pi, 1e-6, steps=5,
+                                  starts=1)
+        assert [steps for _, steps in calls] == [5]
+        assert miss == self._miss(5) > 1e-6
