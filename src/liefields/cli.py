@@ -41,6 +41,7 @@ def _default_seed() -> int:
 
 
 def _parse_point(text: str, what: str = "--from", dim=None):
+    """A comma-separated rational point; with dim, one of that length."""
     point = tuple(_number(p, what) for p in text.split(","))
     if dim is not None and len(point) != dim:
         raise UsageError(f"{what} needs {dim} coordinates, got {len(point)}")
@@ -267,7 +268,7 @@ def _dispatch(args, seed: int) -> int:
                 X = X + (E.const(w) * g)
         X = F.substitute_params(X, pv)
         _require_instantiated(X, af)
-        start = F.Point(_parse_point(args.start))
+        start = F.Point(_parse_point(args.start, "--from", L.dim))
         fix = [_parse_point(p, "--fix", L.dim) for p in args.fix]
         period, note = M.return_period(L, X, weights, start, fix, param_values=pv,
                                        t_max=args.t_max, steps=args.steps, tol=args.tol,

@@ -191,6 +191,13 @@ class TestFlowAndMonodromy:
         assert code == 1 and not out
         assert err.startswith("error: exact: affine, A semisimple") and "misses by" in err
 
+    def test_monodromy_start_of_wrong_length_exit_2(self, capsys):
+        # a "never" verdict integrates nothing, so the start is checked up front
+        code, out, err = run(["monodromy", str(ALGEBRAS / "ex95-30-1.alg"), "--gen-combo", "1",
+                              "--from", "1,2,3"], capsys)
+        assert code == 2 and not out
+        assert err == "error: --from needs 2 coordinates, got 3\n"
+
     def test_monodromy_fix_points_prove_the_period(self, capsys):
         # criterion (ii) needs a zero of X where the algebra is transitive
         code, out, _ = run(["monodromy", str(ALGEBRAS / "ex94-24.alg"),
