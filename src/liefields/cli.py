@@ -198,6 +198,8 @@ def _dispatch(args, seed: int) -> int:
             print(f"NotClosed({err.j + 1},{err.k + 1}): residual "
                   f"{F.field_to_string(err.residual, af.vars, af.params)}")
             return 1
+        except E.NonPolynomialError as err:
+            raise UsageError(f"closure needs polynomial coefficients ({err})") from None
         for j in range(L.order):
             for k in range(j + 1, L.order):
                 terms = []

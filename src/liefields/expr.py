@@ -667,55 +667,112 @@ def is_identically_zero(e: Expr, seed: int = 0) -> Zeroness:
 # evaluation
 
 
-def numeric_source(e: Expr, var: str = "X[{}]", consts: list | None = None) -> str:
-    """Python source evaluating e: the one definition of evaluation, behind
-    every evaluator and the RK4 kernel. ``var.format(i)`` spells coordinate i
-    and ``P[j]`` parameter j.
+def numeric_source(exprs: Sequence[Expr], var: str = "X[{}]",
+                   consts: list | None = None) -> tuple[list, list]:
+    """Python source evaluating the exprs in one scope: the one definition of
+    evaluation, behind every evaluator and the RK4 kernel. Returns
+    ``(assignments, sources)``: lines ``sK = ...`` to run first, in order,
+    then one expression per Expr. ``var.format(i)`` spells coordinate i and
+    ``P[j]`` parameter j; the names ``s0, s1, ...`` must be free in the scope.
 
-    Float flavour (consts None): coefficients are float literals and function
-    nodes call ``math``, which must be in scope, so every float evaluator does
-    the same operations in the same order. Exact flavour: each coefficient is
-    appended to consts as a Fraction and spelled ``C[k]``, a negative power
-    divides, so int and Fraction inputs give a Fraction; a function node
-    raises NonPolynomialError."""
+    Shared pieces: a power ``(b)**k``, an inverted block or a function node
+    that occurs more than once in the scope is assigned once to a local and
+    every use reads that local; a piece that occurs once stays inline, and
+    the pieces of a shared piece are counted once. A piece is a pure function
+    of the inputs, so its local holds the value the inline code computes:
+    the same float operations run on the same values in the same order, and
+    every result keeps its bits. Only which of two failing pieces raises
+    first can change.
+
+    Float flavour (consts None): coefficients are float literals, except that
+    a non-constant term drops a coefficient of 1 or -1 (``y*z`` for
+    ``1.0*y*z``, ``-y*z`` for ``-1.0*y*z``: for a float y, ``1.0*y`` is y and
+    ``-1.0*y`` is -y, bit for bit), so the inputs must be floats; function
+    nodes call ``math``, which must be in scope. Exact flavour: each
+    coefficient is appended to consts as a Fraction and spelled ``C[k]``, a
+    negative power divides, so int and Fraction inputs give a Fraction; a
+    function node raises NonPolynomialError."""
     exact = consts is not None
-    terms = e.terms
-    if exact and not terms:
-        terms = (((), Fraction(0)),)  # the exact zero is the Fraction 0
-    parts = []
-    for mon, c in terms:
-        if exact:
-            consts.append(Fraction(c))
-            term = f"C[{len(consts) - 1}]"
-        else:
-            term = repr(float(c))
-        for factor, k in mon:
-            tag = factor[0]
-            if tag == _V:
-                b = var.format(factor[1])
-            elif tag == _P:
-                b = f"P[{factor[1]}]"
-            elif tag == _F:
-                if exact:
-                    raise NonPolynomialError("exact evaluation of function node")
-                b = f"math.{FN_NAMES[factor[1]]}({numeric_source(factor[2], var)})"
+    counts: dict = {}
+    names: dict = {}
+    lines: list = []
+
+    def power(factor, k):
+        return (factor, abs(k) if exact else k)
+
+    def visit(key) -> bool:
+        """Count one use of a piece; True at its first use."""
+        counts[key] = counts.get(key, 0) + 1
+        return counts[key] == 1
+
+    def count(e: Expr):
+        for mon, _ in e.terms:
+            for factor, k in mon:
+                key = power(factor, k)
+                if key[1] != 1 and not visit(key):
+                    continue
+                if factor[0] == _F and visit(factor):
+                    count(factor[2])
+                elif factor[0] == _Q and visit(factor):
+                    count(factor[1])
+
+    def piece(key, build) -> str:
+        """The source of a piece: inline, or a local assigned at first use."""
+        if key in names:
+            return names[key]
+        src = build()
+        if counts[key] == 1:
+            return src
+        names[key] = f"s{len(lines)}"
+        lines.append(f"{names[key]} = {src}")
+        return names[key]
+
+    def base(factor) -> str:
+        tag = factor[0]
+        if tag == _V:
+            return var.format(factor[1])
+        if tag == _P:
+            return f"P[{factor[1]}]"
+        if tag == _F:
+            if exact:
+                raise NonPolynomialError("exact evaluation of function node")
+            return piece(factor, lambda: f"math.{FN_NAMES[factor[1]]}({emit(factor[2])})")
+        return piece(factor, lambda: emit(factor[1]))
+
+    def emit(e: Expr) -> str:
+        terms = e.terms
+        if exact and not terms:
+            terms = (((), Fraction(0)),)  # the exact zero is the Fraction 0
+        parts = []
+        for mon, c in terms:
+            factors = ""
+            for factor, k in mon:
+                key = power(factor, k)
+                b = base(factor) if key[1] == 1 else piece(key, lambda: f"({base(factor)})**{key[1]}")
+                factors += ("/" if exact and k < 0 else "*") + b
+            if exact:
+                consts.append(Fraction(c))
+                parts.append(f"C[{len(consts) - 1}]" + factors)
+            elif mon and abs(c) == 1:
+                parts.append(("-" if c < 0 else "") + factors[1:])
             else:
-                b = f"({numeric_source(factor[1], var, consts)})"
-            op = "*"
-            if exact and k < 0:
-                op, k = "/", -k
-            term += op + (b if k == 1 else f"({b})**{k}")
-        parts.append(term)
-    return "(" + " + ".join(parts) + ")" if parts else "0.0"
+                parts.append(repr(float(c)) + factors)
+        return "(" + " + ".join(parts) + ")" if parts else "0.0"
+
+    for e in exprs:
+        count(e)
+    return lines, [emit(e) for e in exprs]
 
 
 @lru_cache(maxsize=4096)
 def _kernel(e: Expr, exact: bool) -> Callable:
-    """``f(X, P)`` compiled from numeric_source in one flavour; C holds the
-    exact flavour's coefficients."""
+    """``f(X, P)`` compiled from numeric_source in one flavour, its shared
+    pieces assigned to locals before the return; C holds the exact flavour's
+    coefficients."""
     consts = [] if exact else None
+    lines, [src] = numeric_source([e], "X[{}]", consts)
     ctx = {"math": math, "C": consts}
-    exec("def f(X, P):\n    return " + numeric_source(e, "X[{}]", consts), ctx)
+    exec("def f(X, P):\n" + "".join(f"    {line}\n" for line in lines + [f"return {src}"]), ctx)
     return ctx["f"]
 
 
@@ -730,7 +787,9 @@ def _run(e: Expr, exact: bool, coords, params):
 
 
 def evaluate_numeric(e: Expr, coords, params: Mapping[int, float] | None = None) -> float:
-    """Float value of e at float coordinates and parameters."""
+    """Float value of e at float coordinates and parameters. Unit
+    coefficients are left out of the kernel, so int inputs could give an
+    int: callers convert to float first."""
     return _run(e, False, coords, params)
 
 

@@ -138,12 +138,15 @@ def _rk4_kernel(X: VectorField, invariants: tuple):
     local variables, tracking the drift of each Expr in invariants:
     ``kernel(state, P, h, steps, record) -> (samples, drifts)``.
 
-    The stages, the update and the sampling do the float operations of the
-    classical formula in its usual order, ``s + (0.5*h)*k`` and
-    ``s + (h/6)*(((a + 2*b) + 2*c) + d)``, on terms emitted by
-    E.numeric_source, and ``if v > m: m = v`` keeps the drift as ``max(m, v)``
-    does. So results are bit-identical to evaluating each coefficient with
-    E.compile_numeric. Built once per field: the cache size is a constant."""
+    The terms come from E.numeric_source, one scope per RK4 stage over all
+    coefficients of X and one per evaluation of a tracked invariant, so a
+    power, inverted block or function node repeated in a scope is computed
+    once per stage or evaluation. The stages, the update and the sampling do
+    the float operations of the classical formula in its usual order,
+    ``s + (0.5*h)*k`` and ``s + (h/6)*(((a + 2.0*b) + 2.0*c) + d)``, and
+    ``if v > m: m = v`` keeps the drift as ``max(m, v)`` does. So results are
+    bit-identical to evaluating each coefficient with E.compile_numeric.
+    Built once per field: the cache size is a constant."""
     n = X.dim
 
     def tup(items):
@@ -151,20 +154,24 @@ def _rk4_kernel(X: VectorField, invariants: tuple):
 
     ys = [f"y{i}" for i in range(n)]
     ms = [f"m{k}" for k in range(len(invariants))]
+    # one numeric_source scope per evaluation of a tracked invariant at y
+    tracked = [E.numeric_source([J], "y{}") for J in invariants]
     body = [f"{tup(ys)} = state"]
-    body += [f"j{k} = {E.numeric_source(J, 'y{}')}" for k, J in enumerate(invariants)]
+    for k, (lines, [src]) in enumerate(tracked):
+        body += lines + [f"j{k} = {src}"]
     body += [f"{m} = 0.0" for m in ms]
     body += ["half = 0.5 * h", "sixth = h / 6.0", f"samples = [(0.0, {tup(ys)})]",
              "for step in range(1, steps + 1):"]
     loop = []
     # stage k is evaluated at y (stage a) or z, then z = y + scale * k
     for k, at, scale in (("a", "y", "half"), ("b", "z", "half"), ("c", "z", "h"), ("d", "z", None)):
-        loop += [f"{k}{i} = {E.numeric_source(c, at + '{}')}" for i, c in enumerate(X.coeffs)]
+        lines, srcs = E.numeric_source(X.coeffs, at + "{}")
+        loop += lines + [f"{k}{i} = {src}" for i, src in enumerate(srcs)]
         if scale:
             loop += [f"z{i} = y{i} + {scale} * {k}{i}" for i in range(n)]
-    loop += [f"y{i} = y{i} + sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})" for i in range(n)]
-    for k, J in enumerate(invariants):
-        loop += [f"v = abs({E.numeric_source(J, 'y{}')} - j{k})", f"if v > m{k}:", f"    m{k} = v"]
+    loop += [f"y{i} = y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
+    for k, (lines, [src]) in enumerate(tracked):
+        loop += lines + [f"v = abs({src} - j{k})", f"if v > m{k}:", f"    m{k} = v"]
     loop += ["if record:", f"    samples.append((step * h, {tup(ys)}))"]
     body += ["    " + line for line in loop]
     body += ["if not record:", f"    samples.append((steps * h, {tup(ys)}))",

@@ -334,9 +334,12 @@ def sample_pseudosphere_points(J: InvariantCandidate, center: Sequence[float],
     the level function along random rays, then bisection."""
     rng = random.Random(seed)
     out = []
+    # the float evaluator takes floats: an int center could give an int value
+    center = [float(v) for v in center]
+    params = {j: float(v) for j, v in (params or {}).items()}
 
     def value(pt):
-        coords = list(center) + list(pt)
+        coords = center + list(pt)
         return E.evaluate_numeric(J.body, coords, params) - level
 
     def bisect(origin, direction, lo, hi, sign_lo):

@@ -175,11 +175,12 @@ def _exact_period(L, X, vec, fix, pv, constants):
 
 def _ad_matrix(constants, vec, pv):
     """The matrix of ad X on the generators, (ad X)_tk = sum_s vec_s c_sk^t
-    from the structure constants; None when the algebra is not closed or a
-    constant is left depending on the parameters."""
+    from the structure constants; None when the algebra is not closed, has a
+    coefficient that is not polynomial, or leaves a constant depending on the
+    parameters."""
     try:
         c = constants().c
-    except A.NotClosedError:
+    except (A.NotClosedError, E.NonPolynomialError):
         return None
     r = len(vec)
     ad = [[Fraction(0)] * r for _ in range(r)]

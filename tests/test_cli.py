@@ -27,6 +27,22 @@ field: x*q
 """
 
 
+# the grammar accepts a negative variable power; the coefficients are not polynomial
+NON_POLYNOMIAL_ALG = """\
+vars: x y
+field: p
+field: q
+field: -y*p + x*q + x^-1*p
+"""
+
+
+@pytest.fixture
+def non_polynomial_file(tmp_path):
+    path = tmp_path / "nonpoly.alg"
+    path.write_text(NON_POLYNOMIAL_ALG)
+    return str(path)
+
+
 @pytest.fixture
 def euclid_file(tmp_path):
     path = tmp_path / "euclid.alg"
@@ -84,6 +100,11 @@ class TestClosure:
         code, out, _ = run(["closure", euclid_file], capsys)
         assert code == 0
         assert "[X1, X2] = 0" in out
+
+    def test_non_polynomial_coefficients_exit_2(self, non_polynomial_file, capsys):
+        code, out, err = run(["closure", non_polynomial_file], capsys)
+        assert code == 2 and not out
+        assert err == "error: closure needs polynomial coefficients (negative variable power)\n"
 
 
 class TestInvariantTags:
@@ -190,6 +211,13 @@ class TestFlowAndMonodromy:
                               "--from", "1,1/2,0", "--steps", "5"], capsys)
         assert code == 1 and not out
         assert err.startswith("error: exact: affine, A semisimple") and "misses by" in err
+
+    def test_monodromy_non_polynomial_algebra_falls_back_to_search(self, non_polynomial_file, capsys):
+        # no structure constants exist, so the first-return search decides
+        code, out, _ = run(["monodromy", non_polynomial_file, "--gen-combo", "0,0,1",
+                            "--from", "1,1", "--t-max", "2", "--steps", "2000"], capsys)
+        assert code == 0
+        assert out.startswith("None (numeric: min distances: ")
 
     def test_monodromy_start_of_wrong_length_exit_2(self, capsys):
         # a "never" verdict integrates nothing, so the start is checked up front

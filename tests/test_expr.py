@@ -1,11 +1,12 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefields import expr as E
+from liefields import algebra as A, expr as E, fields as F, flows as FL, invariants as I
 
 
 V2 = ["x", "y"]
@@ -159,6 +160,36 @@ def exprs():
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+UNIT_HEAVY_COEFFS = [1, -1, 1, -1, 2, Fraction(-1, 3)]
+
+
+@st.composite
+def shared_exprs(draw):
+    """Sums whose terms reuse one inverted block and one function node, most
+    with coefficient 1 or -1: the pieces the kernels share, and the unit
+    coefficients the float flavour leaves out, occur in nearly every draw."""
+    base = E.add(draw(exprs()), E.mul(E.var(0), E.var(1)))
+    block = E.ONE if base.is_zero else E.inverse(base)
+    node = E.fn(draw(st.sampled_from([E.LOG, E.EXP, E.ATAN, E.SQRT])), draw(exprs()))
+    pieces = []
+    for c, a, b, k, j in draw(st.lists(st.tuples(
+            st.sampled_from(UNIT_HEAVY_COEFFS), st.integers(0, 2), st.integers(0, 2),
+            st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=6)):
+        piece = E.mul(E.const(c), E.mul(E.intpow(E.var(0), a), E.intpow(E.var(1), b)))
+        pieces.append(E.mul(piece, E.mul(E.intpow(block, k), E.intpow(node, j))))
+    return E.add_many(pieces)
+
+
+def same_float(got, want) -> bool:
+    """The same float bit for bit, the sign of zero included; any NaN
+    matches any NaN."""
+    if type(got) is not float:
+        return False
+    if math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
 small_values = st.one_of(small_fractions.map(float), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
 
@@ -167,8 +198,10 @@ small_values = st.one_of(small_fractions.map(float), st.sampled_from([0.0, -0.0,
 
 
 def ref_evaluate_numeric(e, coords, params=None):
+    """Sums the terms left to right from the first one, as the kernel does,
+    so a lone -0.0 term stays -0.0."""
     params = params or {}
-    total = 0.0
+    total = None
     for mon, c in e.terms:
         value = float(c)
         for factor, ex in mon:
@@ -202,8 +235,8 @@ def ref_evaluate_numeric(e, coords, params=None):
             if ex < 0 and base == 0.0:
                 raise E.DomainError("division by zero")
             value *= base**ex
-        total += value
-    return total
+        total = value if total is None else total + value
+    return 0.0 if total is None else total
 
 
 def ref_evaluate_exact(e, coords, params=None):
@@ -286,12 +319,12 @@ class TestEvaluate:
         with pytest.raises(E.DomainError):
             f([0.0, 1.0])
 
-    @given(exprs(), st.lists(small_values, min_size=3, max_size=3))
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(exprs(), shared_exprs()), st.lists(small_values, min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
     def test_float_flavour_matches_interpreter(self, e, values):
-        """Equal floats, or DomainError from both. The interpreter's sum starts
-        at 0.0, so it reads 0.0 where the kernel gives -0.0; nothing else
-        differs. The reference lets an overflow in ** escape as OverflowError."""
+        """The same float bit for bit, the sign of zero included, or
+        DomainError from both. The reference lets an overflow in ** escape as
+        OverflowError."""
         coords, params = values[:2], {0: values[2]}
         try:
             want = ref_evaluate_numeric(e, coords, params)
@@ -302,10 +335,10 @@ class TestEvaluate:
                 E.compile_numeric(e)(coords, params)
             return
         for got in (E.evaluate_numeric(e, coords, params), E.compile_numeric(e)(coords, params)):
-            assert got == want or math.isnan(got) and math.isnan(want)
+            assert same_float(got, want)
 
-    @given(exprs(), st.lists(small_fractions, min_size=3, max_size=3))
-    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(exprs(), shared_exprs()), st.lists(small_fractions, min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
     def test_exact_flavour_matches_interpreter(self, e, values):
         coords, params = values[:2], {0: values[2]}
         if E.contains_fn(e):
@@ -320,6 +353,109 @@ class TestEvaluate:
             return
         got = E.evaluate_exact(e, coords, params)
         assert got == want and type(got) is Fraction
+
+
+class TestSharedPieces:
+    """numeric_source computes a repeated power, inverted block or function
+    node once per scope and leaves unit float coefficients out."""
+
+    BLOCK = "(x0*x3 + x1*x4 - x2*x5 - 1)"
+
+    def pair_invariant(self):
+        # the 18-term two-point invariant of thm37-5, over one block
+        names = [f"x{i}" for i in range(6)]
+        numer = "(x0*x4 - x1*x3)^2 + (x0*x5 + x2*x3)^2 + (x1*x5 + x2*x4)^2 - (x0 - x3)^2 - (x1 - x4)^2 + (x2 - x5)^2"
+        return E.parse_expression(f"({numer})*{self.BLOCK}^-2", names)
+
+    def test_block_emitted_once(self):
+        J = self.pair_invariant()
+        assert len(J.terms) == 18
+        [block] = E.numeric_source([E.parse_expression(self.BLOCK, [f"x{i}" for i in range(6)])],
+                                   "y{}")[1]
+        lines, [src] = E.numeric_source([J], "y{}")
+        code = "\n".join(lines + [src])
+        assert code.count(block) == 1 and code.count("**-2") == 1
+        [power] = [line.split(" = ")[0] for line in lines if "**-2" in line]
+        assert len(re.findall(rf"\b{power}\b", src)) == 18
+
+    def test_single_piece_stays_inline(self):
+        lines, [src] = E.numeric_source([parse("x^2*y + log(x + y)")])
+        assert lines == [] and src == "((X[0])**2*X[1] + math.log((X[0] + X[1])))"
+
+    def test_unit_coefficients_dropped_in_float_flavour_only(self):
+        e = parse("x*y - y + 2*x - 1")
+        assert E.numeric_source([e]) == ([], ["(X[0]*X[1] + 2.0*X[0] + -X[1] + -1.0)"])
+        consts = []
+        assert E.numeric_source([e], "X[{}]", consts) == (
+            [], ["(C[0]*X[0]*X[1] + C[1]*X[0] + C[2]*X[1] + C[3])"])
+        assert consts == [1, 2, -1, -1]
+
+    def test_pieces_shared_across_the_exprs_of_one_scope(self):
+        a, b = parse("x*(x + y)^-1"), parse("y*(x + y)^-1 + log(x)")
+        lines, srcs = E.numeric_source([a, b], "y{}")
+        assert lines == ["s0 = ((y0 + y1))**-1"]
+        assert srcs == ["(y0*s0)", "(y1*s0 + math.log((y0)))"]
+
+    def test_exact_flavour_shares_the_block_of_a_quotient(self):
+        consts = []
+        lines, [src] = E.numeric_source([parse("x*(x + y)^-2 - (x + y)^-1")], "X[{}]", consts)
+        assert lines == ["s0 = (C[0]*X[0] + C[1]*X[1])"]
+        assert src == "(C[2]*X[0]/(s0)**2 + C[3]/s0)"
+
+
+class TestFloatInputs:
+    """The float flavour leaves unit coefficients out (``x*y`` for
+    ``1.0*x*y``), so it gives a float only when its inputs are floats: every
+    caller converts what it is given, and each path here starts from ints."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        calls = []
+        real = E.evaluate_numeric
+
+        def spy(e, coords, params=None):
+            value = real(e, coords, params)
+            calls.append((list(coords) + list((params or {}).values()), value))
+            return value
+
+        monkeypatch.setattr(E, "evaluate_numeric", spy)
+        yield calls
+        assert calls
+        for values, value in calls:
+            assert all(type(v) is float for v in values) and type(value) is float
+
+    def test_evaluate_at_point(self, seen):
+        X = F.parse_field("x*y*p - c*q", V2, ["c"])
+        assert F.evaluate_at_point(X, F.Point((2, 3), {0: Fraction(1)})) == (6.0, -1.0)
+
+    def test_zero_test_samples(self, seen):
+        assert E.is_identically_zero(parse("x*exp(y)")) is E.Zeroness.NO
+
+    def test_verify_joint_invariant_samples(self, seen):
+        L = A.presentation("rot", V2, ["p", "q", "x*q - y*p"])
+        body = E.parse_expression("x1*exp(y2)", F.point_var_names(V2, 2))
+        out = I.verify_joint_invariant(L, I.InvariantCandidate(2, body), mode="numeric")
+        assert out.verdict is I.Verdict.REFUTED
+
+    def test_gradient_rank_float_path(self, seen):
+        body = E.parse_expression("x1*y2 - c*exp(x1 + y2)", F.point_var_names(V2, 2), ["c"])
+        assert I._gradient_rank([I.InvariantCandidate(2, body)], 2, 3, seed=0, params={0: 1}) >= 1
+
+    def test_pseudosphere_points(self, seen):
+        J = I.InvariantCandidate(2, E.parse_expression("x1*x2 + y1*y2", F.point_var_names(V2, 2)))
+        pts = I.sample_pseudosphere_points(J, [1, 1], 1, 2, seed=0, count=2, params={0: 1})
+        assert len(pts) == 2
+
+    def test_truncated_complete_system_solution(self, seen):
+        _, info = FL.complete_system_solve_single(F.parse_field("p + y*q", V2), 0)
+        assert info["exact"] == [False]
+
+    def test_numeric_flow(self):
+        X = F.parse_field("x*y*p - c*q", V2, ["c"])
+        traj = FL.numeric_flow(X, F.Point((1, 2), {0: 1}), 1, 4, tracked={"J": parse("x*y")},
+                               record=True)
+        values = [t for t, _ in traj.samples] + [v for _, pt in traj.samples for v in pt]
+        assert all(type(v) is float for v in values + list(traj.drift.values()))
 
 
 class TestZeroTest:

@@ -147,6 +147,22 @@ class TestKernelBitIdentity:
         assert (traj.samples, traj.drift) == expected
         assert traj.drift["J"] > 0.0
 
+    def test_tracked_invariant_over_a_shared_block(self):
+        # 18 terms over one block (x0*x3 + x1*x4 - x2*x5 - 1)^-2, most with
+        # coefficient 1 or -1, along fields whose coefficients are mostly 1 or -1
+        entry = CAT.entry_by_id("thm37-5")
+        J = entry.parsed_invariants()[0].body
+        assert len(J.terms) == 18
+        lines, _ = E.numeric_source([J], "y{}")
+        assert sum("**-2" in line for line in lines) == 1
+        start = F.Point((0.1, -0.2, 0.05, 0.3, 0.25, -0.1))
+        tracked = {"J": J}
+        for g in entry.presentation().generators:
+            X = F.prolong_points(g, 2)
+            expected = reference_rk4(X, start, 0.4, 100, tracked=tracked, record=True)
+            traj = FL.numeric_flow(X, start, 0.4, 100, tracked=tracked, record=True)
+            assert (traj.samples, traj.drift) == expected
+
 
 def reference_flow_series(X, x0, order):
     """The recurrence that rebuilds every monomial product at each order: the
