@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liefields import algebra as A, expr as E, fields as F, flows as FL, invariants as I
+from liefields import algebra as A, catalog as CAT, expr as E, fields as F, flows as FL, invariants as I
 
 
 V2 = ["x", "y"]
@@ -359,19 +359,12 @@ class TestSharedPieces:
     """numeric_source computes a repeated power, inverted block or function
     node once per scope and leaves unit float coefficients out."""
 
-    BLOCK = "(x0*x3 + x1*x4 - x2*x5 - 1)"
-
-    def pair_invariant(self):
-        # the 18-term two-point invariant of thm37-5, over one block
-        names = [f"x{i}" for i in range(6)]
-        numer = "(x0*x4 - x1*x3)^2 + (x0*x5 + x2*x3)^2 + (x1*x5 + x2*x4)^2 - (x0 - x3)^2 - (x1 - x4)^2 + (x2 - x5)^2"
-        return E.parse_expression(f"({numer})*{self.BLOCK}^-2", names)
-
     def test_block_emitted_once(self):
-        J = self.pair_invariant()
+        # the two-point invariant of thm37-5: 18 terms over one block
+        J = CAT.entry_by_id("thm37-5").parsed_invariants()[0].body
         assert len(J.terms) == 18
-        [block] = E.numeric_source([E.parse_expression(self.BLOCK, [f"x{i}" for i in range(6)])],
-                                   "y{}")[1]
+        base = E.parse_expression("x0*x3 + x1*x4 - x2*x5 - 1", [f"x{i}" for i in range(6)])
+        [block] = E.numeric_source([base], "y{}")[1]
         lines, [src] = E.numeric_source([J], "y{}")
         code = "\n".join(lines + [src])
         assert code.count(block) == 1 and code.count("**-2") == 1
