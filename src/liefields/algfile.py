@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from . import algebra as A, expr as E, invariants as I
 from . import fields as F
@@ -44,8 +44,7 @@ class AlgebraFile:
 
 
 def parse_algebra_file(text: str, name: str = "algebra") -> AlgebraFile:
-    vars_: Optional[tuple] = None
-    params: tuple = ()
+    names: dict = {}  # "vars" and "params", each given at most once
     fields_: list = []
     invariants_: list = []
     expectations: dict = {}
@@ -58,10 +57,10 @@ def parse_algebra_file(text: str, name: str = "algebra") -> AlgebraFile:
         key, value = line.split(":", 1)
         key = key.strip()
         value = value.strip()
-        if key == "vars":
-            vars_ = tuple(value.split())
-        elif key == "params":
-            params = tuple(value.split())
+        if key in ("vars", "params"):
+            if key in names:
+                raise AlgebraFileError(f"line {lineno}: a second '{key}:' line")
+            names[key] = tuple(value.split())
         elif key == "field":
             fields_.append(value)
         elif key.startswith("invariant"):
@@ -73,21 +72,25 @@ def parse_algebra_file(text: str, name: str = "algebra") -> AlgebraFile:
         elif key == "expect":
             if "=" not in value:
                 raise AlgebraFileError(f"line {lineno}: expect needs key=value")
-            ekey, evalue = value.split("=", 1)
-            expectations[ekey.strip()] = _parse_expect_value(evalue.strip())
+            ekey, evalue = (part.strip() for part in value.split("=", 1))
+            if ekey in expectations:
+                raise AlgebraFileError(f"line {lineno}: expect {ekey!r} is given twice")
+            expectations[ekey] = _parse_expect_value(evalue, lineno)
         else:
             raise AlgebraFileError(f"line {lineno}: unknown key {key!r}")
-        repeated = F.repeated_name(vars_ or (), params)
+        repeated = F.repeated_name(names.get("vars", ()), names.get("params", ()))
         if repeated is not None:
             raise AlgebraFileError(f"line {lineno}: name {repeated!r} is given twice among vars and params")
-    if vars_ is None:
+    if "vars" not in names:
         raise AlgebraFileError("missing 'vars:' line")
     if not fields_:
         raise AlgebraFileError("no 'field:' lines")
-    return AlgebraFile(name, vars_, params, tuple(fields_), tuple(invariants_), expectations)
+    return AlgebraFile(name, names["vars"], names.get("params", ()), tuple(fields_),
+                       tuple(invariants_), expectations)
 
 
-def _parse_expect_value(text: str):
+def _parse_expect_value(text: str, lineno: int):
+    """A boolean (true/false/yes/no, any case) or an integer."""
     low = text.lower()
     if low in ("true", "yes"):
         return True
@@ -96,7 +99,8 @@ def _parse_expect_value(text: str):
     try:
         return int(text)
     except ValueError:
-        return text
+        raise AlgebraFileError(f"line {lineno}: expect value {text!r} is neither "
+                               "true/false/yes/no nor an integer") from None
 
 
 def load_algebra_file(path: str) -> AlgebraFile:

@@ -306,6 +306,21 @@ def _clearing_monomial(*exprs: Expr):
     return mon
 
 
+def divide_shared_nodes(exprs: Sequence[Expr]) -> list:
+    """The exprs divided by the function nodes that every term of every expr
+    carries, each at its least exponent: a gradient of P*e^g loses its e^g."""
+    shared = None
+    for e in exprs:
+        for mon, _ in e.terms:
+            nodes = {f: k for f, k in mon if f[0] == _F}
+            shared = nodes if shared is None else {
+                f: min(k, nodes[f]) for f, k in shared.items() if f in nodes}
+    if not shared:
+        return list(exprs)
+    mon = tuple(sorted(((f, -k) for f, k in shared.items()), key=lambda fk: _fkey(fk[0])))
+    return [mul(e, Expr(((mon, Fraction(1)),))) for e in exprs]
+
+
 def clear_denominators(*exprs: Expr) -> list:
     """The exprs, each multiplied by one common monomial: the smallest that
     clears every inverted or negative factor among them."""

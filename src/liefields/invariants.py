@@ -11,8 +11,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import algebra as A, exactla, expr as E
 from . import fields as F
 from .fields import VectorField
@@ -248,54 +246,45 @@ def lie_derivative_quadratic_form(X: VectorField, g: QuadraticForm) -> Quadratic
 def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int,
                    seed: int, params=None) -> int:
     """Number of functionally independent pullbacks of the pair invariants to
-    s points: the largest rank of their gradient matrix at up to 8 random
-    configurations; exact when the gradients are rational, numeric SVD with a
-    1e-8 singular-value threshold otherwise. Sampling stops once the rank
-    reaches min(rows, cols), which no further configuration can exceed.
+    s points: the largest exact rank of their gradient matrix at up to 8
+    random rational configurations. Sampling stops once the rank reaches
+    min(rows, cols), which no further configuration can exceed.
 
     The pullback of J to points (lam, mu) has J's gradient in blocks lam and
     mu and zeros elsewhere, so each J is differentiated once in its 2n
     variables and its gradient evaluated at (x_lam, x_mu). Rows run over J,
-    then over the pairs lam < mu."""
+    then over the pairs lam < mu. For J = P e^g every entry of the gradient
+    carries e^g; it is divided out (expr.divide_shared_nodes), which scales
+    each row of J by a nonzero function and so keeps the rank. A gradient
+    that still holds a function node raises NonPolynomialError."""
     if any(J.s != 2 for J in pair_invariants):
         raise ValueError("pullbacks need a two-point invariant")
-    grads = [[E.differentiate(J.body, v) for v in range(2 * n)] for J in pair_invariants]
-    exact = all(not E.contains_fn(d) for row in grads for d in row)
+    grads = [E.divide_shared_nodes([E.differentiate(J.body, v) for v in range(2 * n)])
+             for J in pair_invariants]
+    if any(E.contains_fn(d) for grad in grads for d in grad):
+        raise E.NonPolynomialError("a pair-invariant gradient keeps a function node "
+                                   "that not every entry carries")
     pairs = [(lam, mu) for lam in range(s) for mu in range(lam + 1, s)]
     nvars = s * n
     ceiling = min(len(grads) * len(pairs), nvars)
     rng = random.Random(seed)
-    if exact:
-        draw, evaluate, zero, values = F.random_rational, E.evaluate_exact, Fraction(0), params
-    else:
-        draw, evaluate, zero = (lambda r: r.uniform(-2, 2)), E.evaluate_numeric, 0.0
-        values = {j: float(v) for j, v in (params or {}).items()}
-    best = 0
-    configs = 0
-    attempts = 0
+    best = configs = attempts = 0
     while configs < 8 and attempts < 400:
         attempts += 1
-        coords = [draw(rng) for _ in range(nvars)]
+        coords = [F.random_rational(rng) for _ in range(nvars)]
         matrix = []
         try:
             for grad in grads:
                 for lam, mu in pairs:
                     at = coords[lam * n:(lam + 1) * n] + coords[mu * n:(mu + 1) * n]
-                    g = [evaluate(d, at, values) for d in grad]
-                    row = [zero] * nvars
+                    g = [E.evaluate_exact(d, at, params) for d in grad]
+                    row = [Fraction(0)] * nvars
                     row[lam * n:(lam + 1) * n] = g[:n]
                     row[mu * n:(mu + 1) * n] = g[n:]
                     matrix.append(row)
-        except (E.DomainError, OverflowError):
+        except E.DomainError:
             continue
-        if exact:
-            best = max(best, exactla.rank(matrix))
-        else:
-            matrix = np.array(matrix)
-            scale = np.abs(matrix).max(axis=1, keepdims=True)
-            scale[scale == 0] = 1.0
-            sv = np.linalg.svd(matrix / scale, compute_uv=False)
-            best = max(best, int(np.sum(sv > _NUM_TOL)))
+        best = max(best, exactla.rank(matrix))
         configs += 1
         if best == ceiling:
             break

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from . import algebra as A, exactla, expr as E, flows as FL, upoly
 from . import fields as F
 
@@ -26,13 +24,14 @@ class LinearMotionClass:
     tag: str  # Zero | Periodic | ProjectivelyPeriodic | Spiral | RealHyperbolic | Nilpotent
     omega: Optional[float] = None
     shift: Optional[float] = None
-    eigenvalues: tuple = ()
 
 
 @dataclass(frozen=True)
 class MobilityVerdict:
     free_mobility: bool
     failing_stage: Optional[str] = None
+    # a rational vector, or for a fixed direction with irrational coordinates
+    # (s, c): the direction sum_k r^k c_k at each real root r of s
     witness: Optional[tuple] = None
 
 
@@ -46,8 +45,8 @@ def classify_linear_one_param(M: Sequence[Sequence]) -> LinearMotionClass:
     e^{TM} = I at T = 2 pi / w (upoly.periodicity). ProjectivelyPeriodic(w, a):
     the same for M - a I with a = tr M / n != 0, so the flow returns up to the
     factor e^{aT}. Spiral: a non-real eigenvalue remains. RealHyperbolic: a
-    real spectrum with a nonzero eigenvalue. Only the reported eigenvalues are
-    floats (numpy roots of the characteristic polynomial).
+    real spectrum with a nonzero eigenvalue. Every tag is decided over Q;
+    only the reported omega and shift are floats.
 
     A non-semisimple M with a purely imaginary spectrum, such as a rotation
     carrying a Jordan block (its flow grows like t), has no tag of its own:
@@ -57,15 +56,13 @@ def classify_linear_one_param(M: Sequence[Sequence]) -> LinearMotionClass:
     exact = [[Fraction(v) for v in row] for row in M]
     n = len(exact)
     if all(v == 0 for row in exact for v in row):
-        return LinearMotionClass("Zero", eigenvalues=())
-    p = upoly.char_poly(exact)
-    eigs = tuple(complex(l) for l in np.roots([float(c) for c in p]))
-    s = upoly.square_free(p)
+        return LinearMotionClass("Zero")
+    s = upoly.square_free(upoly.char_poly(exact))
     if s == [1, 0]:
-        return LinearMotionClass("Nilpotent", eigenvalues=eigs)
+        return LinearMotionClass("Nilpotent")
     omega_squared, _ = upoly.periodicity(exact)
     if omega_squared:
-        return LinearMotionClass("Periodic", omega=math.sqrt(omega_squared), eigenvalues=eigs)
+        return LinearMotionClass("Periodic", omega=math.sqrt(omega_squared))
     shift = sum(exact[i][i] for i in range(n)) / n
     if shift:
         shifted = [[v - (shift if i == j else 0) for j, v in enumerate(row)]
@@ -73,10 +70,10 @@ def classify_linear_one_param(M: Sequence[Sequence]) -> LinearMotionClass:
         omega_squared, _ = upoly.periodicity(shifted)
         if omega_squared:
             return LinearMotionClass("ProjectivelyPeriodic", omega=math.sqrt(omega_squared),
-                                     shift=float(shift), eigenvalues=eigs)
+                                     shift=float(shift))
     if upoly.real_root_count(s) < len(s) - 1:
-        return LinearMotionClass("Spiral", eigenvalues=eigs)
-    return LinearMotionClass("RealHyperbolic", eigenvalues=eigs)
+        return LinearMotionClass("Spiral")
+    return LinearMotionClass("RealHyperbolic")
 
 
 def affine_matrix(X: F.VectorField) -> Optional[List[List[Fraction]]]:
@@ -229,12 +226,7 @@ def invariant_lines(M3) -> List[tuple]:
         for vec in exactla.nullspace(shifted):
             lines.append(tuple(vec))
     # deterministic order, dedup up to scale
-    seen = []
-    for line in lines:
-        norm = _normalize_projective(line)
-        if norm not in seen:
-            seen.append(norm)
-    return sorted(seen)
+    return sorted({_normalize_projective(line) for line in lines})
 
 
 def _normalize_projective(vec):
@@ -307,19 +299,10 @@ def classify_seven_forms(c_samples: Sequence[Fraction] = (Fraction(-2), Fraction
 
 
 def _constant_matrices(mats) -> List[List[List[Fraction]]]:
-    out = []
-    for J in mats:
-        rows = []
-        for row in J:
-            vals = []
-            for entry in row:
-                cv = entry.constant_value()
-                if cv is None:
-                    raise E.ExprError("free mobility needs instantiated parameters")
-                vals.append(cv)
-            rows.append(vals)
-        out.append(rows)
-    return out
+    values = [[[entry.constant_value() for entry in row] for row in J] for J in mats]
+    if any(v is None for J in values for row in J for v in row):
+        raise E.ExprError("free mobility needs instantiated parameters")
+    return values
 
 
 def _apply(J, v):
@@ -335,41 +318,28 @@ def _cross(u, v):
 
 
 def _common_fixed_direction_2d(mats):
-    """Exact search for v != 0 with J v parallel to v for every J: common real
-    root of the per-matrix quadratics q(s) = det[J (1,s), (1,s)] plus the
-    special direction (0,1)."""
+    """Exact search for v != 0 with J v parallel to v for every J: the
+    special direction (0, 1), else (1, s) at a common real root s of the
+    per-matrix quadratics q_J(s) = det[J (1,s), (1,s)], that is a real root
+    of their gcd g. An irrational root is carried as its quadratic:
+    (g, ((1, 0), (0, 1))), the directions (1, r) at the real roots r of g."""
     if all(_det2_prop(J, (0, 1)) == 0 for J in mats):
         return (Fraction(0), Fraction(1))
-    # polynomials q_J(s) = -J10 + (J00 - J11) s + J01 s^2
-    polys = []
-    for J in mats:
-        polys.append([J[0][1], J[0][0] - J[1][1], -J[1][0]])  # degree desc
-    g = upoly.gcd(polys)
-    roots = _real_roots_deg_le2(g)
+    # q_J(s) = -J10 + (J00 - J11) s + J01 s^2, degree descending
+    g = upoly.gcd([[J[0][1], J[0][0] - J[1][1], -J[1][0]] for J in mats])
+    if not g:  # every direction stays fixed
+        return (Fraction(1), Fraction(0))
+    if len(g) == 1 or not upoly.real_root_count(g):
+        return None
+    roots = upoly.rational_roots(g)
     if roots:
-        s = roots[0]
-        return (Fraction(1), s) if isinstance(s, Fraction) else (1.0, s)
-    return None
+        return (Fraction(1), roots[0])
+    return (tuple(upoly.monic(g)), ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
 
 
 def _det2_prop(J, v):
     """det[J v, v]: zero iff J v is parallel to v."""
     return J[0][0] * v[0] * v[1] + J[0][1] * v[1] * v[1] - J[1][0] * v[0] * v[0] - J[1][1] * v[0] * v[1]
-
-
-def _real_roots_deg_le2(g):
-    if g == []:
-        return [Fraction(0)]  # all directions satisfy the conditions
-    if len(g) == 1:
-        return []
-    if len(g) == 2:
-        return [-g[1] / g[0]]
-    a, b, c = g
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    root = math.sqrt(float(disc))
-    return [(-float(b) - root) / (2 * float(a))]
 
 
 def _stabilizer_dim(mats, condition_rows) -> int:
@@ -381,37 +351,44 @@ def _stabilizer_dim(mats, condition_rows) -> int:
 
 
 def _common_fixed_direction_3d(mats, rng):
-    """Common kernel first; then rational eigenvectors of a generic
-    combination, verified exactly; numeric fallback for irrational cases."""
+    """A real v != 0 with J v parallel to v for every J, or None, decided over
+    Q: the common kernel, then the rational eigenvectors of a generic
+    combination G checked against every J. The rest s of the square-free
+    characteristic polynomial of G has no rational root and degree <= 3, so
+    it is irreducible; the conjugates of a common direction at a root of s
+    span W = ker s(G). So one exists iff s has a real root and every J maps W
+    into W and commutes there with G (whose eigenvalues on W are distinct).
+    The witness is (s, c), c a rational basis of W: with s(x) = (x - r) q_r(x)
+    and w in W, the direction at a real root r is q_r(G) w = sum_k r^k c_k."""
     n = 3
-    stacked = [row for J in mats for row in J]
-    for v in exactla.nullspace(stacked):
-        if any(x != 0 for x in v):
-            return tuple(v)
+    kernel = exactla.nullspace([row for J in mats for row in J])
+    if kernel:
+        return tuple(kernel[0])
     weights = [Fraction(rng.randint(-9, 9)) for _ in mats]
     G = [[sum(w * J[i][j] for w, J in zip(weights, mats)) for j in range(n)] for i in range(n)]
-    for lam in upoly.rational_roots(upoly.char_poly(G)):
+    s = upoly.square_free(upoly.char_poly(G))
+    for lam in upoly.rational_roots(s):
         shifted = [[G[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
         for v in exactla.nullspace(shifted):
             if all(all(x == 0 for x in _cross(_apply(J, v), v)) for J in mats):
                 return tuple(v)
-    # numeric fallback for irrational common eigenvectors
-    Gf = np.array([[float(v) for v in row] for row in G])
-    vals, vecs = np.linalg.eig(Gf)
-    for k in range(len(vals)):
-        if abs(vals[k].imag) > 1e-9:
-            continue
-        v = vecs[:, k].real
-        ok = True
-        for J in mats:
-            Jf = np.array([[float(x) for x in row] for row in J])
-            cr = np.cross(Jf @ v, v)
-            if np.linalg.norm(cr) > 1e-9 * max(1.0, np.linalg.norm(Jf)):
-                ok = False
-                break
-        if ok:
-            return tuple(float(x) for x in v)
-    return None
+        s = upoly.divide(s, [1, -lam])[0]
+    if len(s) < 3 or not upoly.real_root_count(s):
+        return None
+    S = upoly.matrix_value(s, G)
+    W = exactla.nullspace(S)
+    for J in mats:
+        for w in W:
+            Jw = _apply(J, w)
+            if any(_apply(S, Jw)) or _apply(J, _apply(G, w)) != _apply(G, Jw):
+                return None
+    d = len(s) - 1
+    krylov = [W[0]]  # G^j w
+    for _ in range(d - 1):
+        krylov.append(_apply(G, krylov[-1]))
+    c = [[sum(s[i - k] * krylov[d - 1 - i][m] for i in range(k, d)) for m in range(n)]
+         for k in range(d)]
+    return tuple(s), tuple(map(tuple, c))
 
 
 def free_mobility_infinitesimal(L: A.LieAlgebraPresentation, base=None, seed: int = 0,

@@ -198,8 +198,8 @@ def _mat_mul(A, B):
     return [[sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def _annihilates(p, M) -> bool:
-    """p(M) = 0, by Horner on matrices."""
+def matrix_value(p, M) -> List[List[Fraction]]:
+    """p(M), by Horner on matrices."""
     n = len(M)
     a = [[Fraction(v) for v in row] for row in M]
     value = [[Fraction(0)] * n for _ in range(n)]
@@ -207,13 +207,13 @@ def _annihilates(p, M) -> bool:
         value = _mat_mul(value, a)
         for i in range(n):
             value[i][i] += c
-    return all(v == 0 for row in value for v in row)
+    return value
 
 
 def semisimple(M) -> bool:
     """M is diagonalizable over C: the square-free part of its
     characteristic polynomial vanishes at M."""
-    return _annihilates(square_free(char_poly(M)), M)
+    return not any(map(any, matrix_value(square_free(char_poly(M)), M)))
 
 
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
@@ -299,7 +299,7 @@ def periodicity(M: Sequence[Sequence]) -> Periodicity:
     r = s[:-1] if s[-1] == 0 else s
     if len(r) % 2 == 0 or any(r[1::2]):
         return Periodicity(None, f"has eigenvalues off the imaginary axis, charpoly {shown}")
-    if not _annihilates(s, M):
+    if any(map(any, matrix_value(s, M))):
         return Periodicity(None, f"is not semisimple, charpoly {shown}")
     q = r[0::2]
     roots = rational_roots(q)

@@ -323,15 +323,30 @@ class TestUsageErrors:
         (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
           "--fix", "1,x,0"],
          "error: --fix must be a rational number, got 'x'\n"),
+        (["closure", "{d}/two-vars.alg"], "error: line 2: a second 'vars:' line\n"),
+        (["closure", "{d}/two-params.alg"], "error: line 3: a second 'params:' line\n"),
+        (["invariants", "{d}/expect-word.alg"],
+         "error: line 5: expect value 'one' is neither true/false/yes/no nor an integer\n"),
+        (["invariants", "{d}/expect-twice.alg"],
+         "error: line 6: expect 'pair_invariant_count' is given twice\n"),
     ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
             "invariants-points-negative", "verify-points-0", "invariants-points-not-int",
             "param-zero-denominator", "param-not-a-number", "from-zero-denominator",
             "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number",
             "file-missing", "file-is-directory", "file-not-utf8", "csv-unwritable",
             "t-nan", "t-infinite", "t-not-a-number", "t-max-negative", "t-max-nan",
-            "tol-nan", "tol-negative", "tol-zero", "fix-wrong-length", "fix-not-a-number"])
+            "tol-nan", "tol-negative", "tol-zero", "fix-wrong-length", "fix-not-a-number",
+            "vars-twice", "params-twice", "expect-not-a-value", "expect-key-twice"])
     def test_exit_2_with_one_line(self, euclid_file, tmp_path, argv, message, capsys):
         (tmp_path / "latin1.alg").write_bytes(b"vars: x\xe9\nfield: p\n")
+        planar = "field: p\nfield: q\nfield: -y*p + x*q\n"
+        (tmp_path / "two-vars.alg").write_text("vars: x y z\nvars: x y\n" + planar)
+        (tmp_path / "two-params.alg").write_text("vars: x y\nparams: c\nparams: d\n" + planar)
+        (tmp_path / "expect-word.alg").write_text(
+            "vars: x y\n" + planar + "expect: pair_invariant_count=one\n")
+        (tmp_path / "expect-twice.alg").write_text(
+            "vars: x y\n" + planar + "expect: pair_invariant_count=1\n"
+            "expect: pair_invariant_count=0\n")
         keys = dict(f=euclid_file, p=ALGEBRAS / "ex87-51.alg", m=ALGEBRAS / "ex94-24.alg",
                     d=tmp_path)
         code, out, err = run([a.format(**keys) for a in argv], capsys)

@@ -430,10 +430,6 @@ class TestFloatInputs:
         out = I.verify_joint_invariant(L, I.InvariantCandidate(2, body), mode="numeric")
         assert out.verdict is I.Verdict.REFUTED
 
-    def test_gradient_rank_float_path(self, seen):
-        body = E.parse_expression("x1*y2 - c*exp(x1 + y2)", F.point_var_names(V2, 2), ["c"])
-        assert I._gradient_rank([I.InvariantCandidate(2, body)], 2, 3, seed=0, params={0: 1}) >= 1
-
     def test_pseudosphere_points(self, seen):
         J = I.InvariantCandidate(2, E.parse_expression("x1*x2 + y1*y2", F.point_var_names(V2, 2)))
         pts = I.sample_pseudosphere_points(J, [1, 1], 1, 2, seed=0, count=2, params={0: 1})

@@ -320,9 +320,22 @@ class TestGradientRank:
         assert len(rank_calls) == 8
 
     def test_numeric_path_matches_pullbacks(self):
-        J = cand("log((x1-x2)^2 + 1) + atan(y2) + z1*z2")
-        for s, seed in ((2, 0), (3, 1), (4, 2)):
-            assert I._gradient_rank([J], 3, s, seed) == pullback_rank([J], 3, s, seed)
+        for text in ("log((x1-x2)^2 + 1) + atan(y2) + z1*z2",
+                     "((x2-x1)^2 + (y2-y1)^2)*exp(-z1 - z2)"):
+            J = cand(text)
+            for s, seed in ((2, 0), (3, 1), (4, 2)):
+                assert I._gradient_rank([J], 3, s, seed) == pullback_rank([J], 3, s, seed)
+
+    def test_shared_exp_node_is_divided_out(self, rank_calls):
+        # every entry of the gradient of P*e^g carries e^g; the rows are
+        # ranked exactly once it is divided out
+        J = cand("((x2-x1)^2 + (y2-y1)^2)*exp(-z1 - z2)")
+        assert I._gradient_rank([J], 3, 3, seed=0) == 3
+        assert rank_calls
+
+    def test_node_not_in_every_entry_raises(self):
+        with pytest.raises(E.NonPolynomialError):
+            I._gradient_rank([cand("exp(x1) + y2")], 3, 3, seed=0)
 
     def test_rejects_invariants_of_other_point_counts(self):
         with pytest.raises(ValueError):

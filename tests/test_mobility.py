@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -101,25 +106,6 @@ class TestClassification:
         assert cls.tag == "Periodic"
         assert cls.omega == 1.0
 
-    def test_numpy_decides_no_tag(self, monkeypatch):
-        h = Fraction(1, 2)
-        matrices = [
-            [[0, -1], [1, 0]], [[h, -1], [1, h]], [[h, 1, 0], [-1, h, 0], [0, 0, 0]],
-            [[1, -1], [1, -2]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]], [[0, 1], [0, 0]],
-            [[0, 0], [0, 0]], [[2, 0], [0, -1]],
-            [[0, -1, 1, 0], [1, 0, 0, 1], [0, 0, 0, -1], [0, 0, 1, 0]],
-            [[h, -1, 1, 0], [1, h, 0, 1], [0, 0, h, -1], [0, 0, 1, h]],
-            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
-            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -2], [0, 0, 2, 0]],
-            [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, -3], [0, 0, 1, 0]],
-            [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-        ]
-        tags = [M.classify_linear_one_param(m).tag for m in matrices]
-        forms = [r.classification.tag for r in M.classify_seven_forms()]
-        monkeypatch.setattr(np, "roots", lambda coeffs: np.array([7 + 3j] * (len(coeffs) - 1)))
-        assert [M.classify_linear_one_param(m).tag for m in matrices] == tags
-        assert [r.classification.tag for r in M.classify_seven_forms()] == forms
-
     def test_nondiagonalizable_zero_block_not_periodic(self):
         cls = M.classify_linear_one_param(
             [[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
@@ -208,6 +194,33 @@ class TestFreeMobility:
         with pytest.raises(ValueError, match="plane action"):
             M._restrict_to_plane_action([rot], [[Fraction(1)]], v)
 
+    def test_irrational_plane_direction_is_its_quadratic(self):
+        # J (1, s) is parallel to (1, s) iff 2 s^2 = 1: the directions (1, +-1/sqrt 2)
+        J = [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]]
+        assert M._common_fixed_direction_2d([J]) == (
+            (1, 0, Fraction(-1, 2)), ((1, 0), (0, 1)))
+        rotation = [[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]]
+        assert M._common_fixed_direction_2d([rotation]) is None
+
+    def test_irrational_space_direction_is_exact(self):
+        # the companion matrix of x^3 - 2 and its square share the real
+        # eigenvector (r^2, r, 1), r = 2^(1/3), and no rational direction
+        C = [[Fraction(v) for v in row] for row in ([0, 0, 2], [1, 0, 0], [0, 1, 0])]
+        C2 = [[sum(C[i][k] * C[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        s, c = M._common_fixed_direction_3d([C, C2], random.Random(0))
+        assert all(type(v) is Fraction for v in list(s) + [x for ck in c for x in ck])
+        assert len(s) == 4 and not upoly.rational_roots(s)
+        assert exactla.rank(c) == 3
+        [r] = [z.real for z in np.roots([float(v) for v in s]) if abs(z.imag) < 1e-9]
+        v = sum(r ** k * np.array([float(x) for x in ck]) for k, ck in enumerate(c))
+        cube_root = 2 ** (1 / 3)
+        assert np.allclose(np.cross(v, [cube_root ** 2, cube_root, 1]), 0, atol=1e-9 * abs(v).max())
+
+    def test_irrational_space_direction_not_shared(self):
+        C = [[Fraction(v) for v in row] for row in ([0, 0, 2], [1, 0, 0], [0, 1, 0])]
+        D = [[Fraction(int(i == j) * (i + 1)) for j in range(3)] for i in range(3)]
+        assert M._common_fixed_direction_3d([C, D], random.Random(0)) is None
+
     def test_unsupported_dimension(self):
         L = pres("line", ["d1"], vars=["x"])
         with pytest.raises(M.UnsupportedDimension):
@@ -235,3 +248,21 @@ class TestKillingForm:
         sig = M.killing_form_signature(C, param_values={0: Fraction(1, 2)})
         assert sum(sig) == 6
         assert sig == M.killing_form_signature(C, param_values={0: Fraction(3)})
+
+
+class TestWithoutNumpy:
+    def test_catalog_entries_decide_without_numpy(self):
+        # free mobility of thm37-1 and the P*e^g invariants of ex90-62a and
+        # ex94-24 take the exact paths; numpy is a test dependency only
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from liefields import cli\n"
+                "sys.exit(max(cli.run(['catalog', 'verify', '--seed', '0', '--entry', e]) for e in sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", code, "thm37-1", "ex90-62a", "ex94-24"],
+                                env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stdout + result.stderr
+        for entry in ("thm37-1", "ex90-62a", "ex94-24"):
+            assert f"{entry} [seed 0]: pass" in result.stdout
