@@ -1,7 +1,9 @@
 """Exact symbolic scalar expressions.
 
 An expression is a finite sum of terms ``coeff * f1^e1 * ... * fk^ek`` with
-``coeff`` a ``Fraction`` and each factor one of
+``coeff`` a nonzero rational, stored as an ``int`` when it is integral and as
+a ``Fraction`` otherwise (integer products and sums then skip ``Fraction``),
+and each factor one of
 
 * a variable ``x_i`` (index into a caller-supplied coordinate list),
 * a parameter ``c_j`` (an essential constant, never differentiated away by
@@ -155,7 +157,7 @@ class Expr:
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1 and not self.terms[0][0]:
-            return self.terms[0][1]
+            return Fraction(self.terms[0][1])
         return None
 
 
@@ -167,30 +169,36 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {x!r} to Expr")
 
 
+def _norm(c):
+    """The canonical coefficient of the rational c: an int when it is
+    integral, else a Fraction."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
 def _make(term_map: dict) -> Expr:
     terms = tuple(
-        sorted(((m, c) for m, c in term_map.items() if c != 0), key=lambda t: _mkey(t[0]))
+        sorted(((m, _norm(c)) for m, c in term_map.items() if c), key=lambda t: _mkey(t[0]))
     )
     return Expr(terms)
 
 
 ZERO = Expr(())
-ONE = Expr((((), Fraction(1)),))
+ONE = Expr((((), 1),))
 
 
 def const(q) -> Expr:
-    q = Fraction(q)
+    q = _norm(q if type(q) is int else Fraction(q))
     if q == 0:
         return ZERO
     return Expr((((), q),))
 
 
 def var(i: int) -> Expr:
-    return Expr((((((_V, i), 1),), Fraction(1)),))
+    return Expr((((((_V, i), 1),), 1),))
 
 
 def param(j: int) -> Expr:
-    return Expr((((((_P, j), 1),), Fraction(1)),))
+    return Expr((((((_P, j), 1),), 1),))
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -200,7 +208,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return a
     acc = dict(a.terms)
     for m, c in b.terms:
-        nc = acc.get(m, Fraction(0)) + c
+        nc = acc.get(m, 0) + c
         if nc:
             acc[m] = nc
         else:
@@ -260,7 +268,7 @@ def mul(a: Expr, b: Expr) -> Expr:
                     piece = mul(piece, intpow(base, e))
                 pending.append(piece)
             else:
-                nc = acc.get(mon, Fraction(0)) + c
+                nc = acc.get(mon, 0) + c
                 if nc:
                     acc[mon] = nc
                 else:
@@ -318,7 +326,7 @@ def divide_shared_nodes(exprs: Sequence[Expr]) -> list:
     if not shared:
         return list(exprs)
     mon = tuple(sorted(((f, -k) for f, k in shared.items()), key=lambda fk: _fkey(fk[0])))
-    return [mul(e, Expr(((mon, Fraction(1)),))) for e in exprs]
+    return [mul(e, Expr(((mon, 1),))) for e in exprs]
 
 
 def clear_denominators(*exprs: Expr) -> list:
@@ -327,7 +335,7 @@ def clear_denominators(*exprs: Expr) -> list:
     mon = _clearing_monomial(*exprs)
     if not mon:
         return list(exprs)
-    return [mul(e, Expr(((mon, Fraction(1)),))) for e in exprs]
+    return [mul(e, Expr(((mon, 1),))) for e in exprs]
 
 
 def inverse(e: Expr) -> Expr:
@@ -338,7 +346,7 @@ def inverse(e: Expr) -> Expr:
         exps = {f: -ex for f, ex in mon}
         overflow = [(f[1], exps.pop(f)) for f in list(exps) if f[0] == _Q and exps[f] > 0]
         mon2 = tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0])))
-        out = Expr(((mon2, 1 / c),))
+        out = Expr(((mon2, _norm(Fraction(1, c))),))
         for base, ex in overflow:
             out = mul(out, intpow(base, ex))
         return out
@@ -347,7 +355,7 @@ def inverse(e: Expr) -> Expr:
     if len(numer.terms) == 1:
         inv = inverse(numer)
         if denom_mon:
-            inv = mul(inv, Expr(((denom_mon, Fraction(1)),)))
+            inv = mul(inv, Expr(((denom_mon, 1),)))
         return inv
     # extract monomial content so the base is primitive
     content: dict = None
@@ -359,17 +367,17 @@ def inverse(e: Expr) -> Expr:
             content = {f: min(e, exps.get(f, 0)) for f, e in content.items() if exps.get(f, 0) > 0}
     content = {f: e for f, e in (content or {}).items() if e > 0}
     if content:
-        strip = Expr(((tuple(sorted(((f, -e) for f, e in content.items()), key=lambda fe: _fkey(fe[0]))), Fraction(1)),))
+        strip = Expr(((tuple(sorted(((f, -e) for f, e in content.items()), key=lambda fe: _fkey(fe[0]))), 1),))
         numer = mul(numer, strip)
     lead = numer.terms[0][1]
-    base = Expr(tuple((m, c / lead) for m, c in numer.terms)) if lead != 1 else numer
+    base = Expr(tuple((m, _norm(Fraction(c, lead))) for m, c in numer.terms)) if lead != 1 else numer
     parts: dict = {(_Q, base): -1}
     for f, e in content.items():
         parts[f] = parts.get(f, 0) - e
     mon2 = tuple(sorted(parts.items(), key=lambda fe: _fkey(fe[0])))
-    out = Expr(((mon2, 1 / lead),))
+    out = Expr(((mon2, _norm(Fraction(1, lead))),))
     if denom_mon:
-        out = mul(out, Expr(((denom_mon, Fraction(1)),)))
+        out = mul(out, Expr(((denom_mon, 1),)))
     return out
 
 
@@ -386,7 +394,7 @@ def fn(kind: int, arg: Expr) -> Expr:
             r = upoly.rational_sqrt(cv)
             if r is not None:
                 return const(r)
-    return Expr((((((_F, kind, arg), 1),), Fraction(1)),))
+    return Expr((((((_F, kind, arg), 1),), 1),))
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +469,7 @@ def substitute_vars(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
                     factors.append(intpow(rep, ex))
                     continue
                 rmon, rc = rep.terms[0]
-                c = c * rc**ex
+                c = c * (rc**ex if ex > 0 else Fraction(1, rc**-ex))
                 merge = [(f, k * ex) for f, k in rmon]
             elif tag == _F:
                 factors.append(intpow(fn(factor[1], substitute_vars(factor[2], mapping)), ex))
@@ -502,7 +510,7 @@ def substitute_params(e: Expr, mapping: Mapping[int, "Expr | Fraction | int"]) -
             elif tag == _Q:
                 rep = substitute_params(factor[1], mapping)
             else:
-                piece = mul(piece, Expr(((((factor, ex),), Fraction(1)),)))
+                piece = mul(piece, Expr(((((factor, ex),), 1),)))
                 continue
             piece = mul(piece, intpow(rep, ex))
         pieces.append(piece.terms)
@@ -706,7 +714,9 @@ def numeric_source(exprs: Sequence[Expr], var: str = "X[{}]",
     nodes call ``math``, which must be in scope. Exact flavour: each
     coefficient is appended to consts as a Fraction and spelled ``C[k]``, a
     negative power divides, so int and Fraction inputs give a Fraction; a
-    function node raises NonPolynomialError."""
+    function node raises NonPolynomialError. An int coefficient is hoisted as
+    a Fraction too: ``C[k]/X[0]`` on int inputs would otherwise be a float,
+    and an all-int product an int."""
     exact = consts is not None
     counts: dict = {}
     names: dict = {}
@@ -979,7 +989,7 @@ class _Parser:
                 self.error("expected positive integer denominator")
             return const(Fraction(numerator, denominator))
         self.i = save
-        return const(Fraction(numerator))
+        return const(numerator)
 
 
 def to_string(e: Expr, vars: Sequence[str], params: Sequence[str] = ()) -> str:
