@@ -4,7 +4,8 @@ Subcommands: bracket, closure, invariants, verify, flow, monodromy, mobility,
 catalog verify. Exit code 0 on success/pass, 1 on check failure, 2 on usage or
 parse errors. Same argv and seed give byte-identical stdout; the SEED
 environment variable overrides the default seed 0. A malformed number in an
-argument or in SEED is a usage error that names the value."""
+argument or in SEED is a usage error that names the value, and so is a
+coordinate, weight or parameter value whose float overflows."""
 
 from __future__ import annotations
 
@@ -40,9 +41,26 @@ def _default_seed() -> int:
     return _number(os.environ.get("SEED", "0"), "SEED", int)
 
 
+def _coordinate(text: str, what: str) -> Fraction:
+    """text as a rational that the numeric layers can also read as a float.
+    An overflowing decimal is refused before Fraction expands its exponent."""
+    try:
+        overflows = math.isinf(float(text))
+    except ValueError:  # p/q, or no number at all
+        overflows = False
+    if not overflows:
+        value = _number(text, what)
+        try:
+            float(value)
+            return value
+        except OverflowError:
+            pass
+    raise UsageError(f"{what} must be finite as a float, got {text!r}")
+
+
 def _parse_point(text: str, what: str = "--from", dim=None):
     """A comma-separated rational point; with dim, one of that length."""
-    point = tuple(_number(p, what) for p in text.split(","))
+    point = tuple(_coordinate(p, what) for p in text.split(","))
     if dim is not None and len(point) != dim:
         raise UsageError(f"{what} needs {dim} coordinates, got {len(point)}")
     return point
@@ -65,7 +83,7 @@ def _parse_param_overrides(pairs, params):
         name = name.strip()
         if name not in params:
             raise UsageError(f"unknown parameter {name!r}")
-        values[params.index(name)] = _number(value, f"--param {name}")
+        values[params.index(name)] = _coordinate(value, f"--param {name}")
     return values
 
 
@@ -260,7 +278,7 @@ def _dispatch(args, seed: int) -> int:
         return 0
 
     if args.command == "monodromy":
-        weights = [_number(w, "--gen-combo") for w in args.gen_combo.split(",")]
+        weights = [_coordinate(w, "--gen-combo") for w in args.gen_combo.split(",")]
         if len(weights) != L.order:
             raise UsageError(
                 f"--gen-combo needs {L.order} coefficients, got {len(weights)}")

@@ -117,12 +117,13 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
     of flows.monodromy_period around `start`, doubling the RK4 steps from
     1,000 up to at most `steps` until the step-doubling error estimate
     settles the miss against tol (flows.return_misses); a miss of tol or
-    more raises ReturnMismatch. Any other X falls back to
-    flows.monodromy_period with t_max, tol and steps, and the note starts with
-    ``numeric: ``. Start points are drawn around `start` at `scale`. `fix`
-    lists the candidate fixed points of criterion (ii). `constants` returns
-    the structure constants of L, A.check_closure(L) by default; it is
-    called only when criterion (ii) needs them."""
+    more raises ReturnMismatch, and a period with no float ValueError. Any
+    other X falls back to flows.monodromy_period with t_max, tol and steps,
+    and the note starts with ``numeric: ``. Start points are drawn around
+    `start` at `scale`. `fix` lists the candidate fixed points of criterion
+    (ii). `constants` returns the structure constants of L,
+    A.check_closure(L) by default; it is called only when criterion (ii)
+    needs them."""
     decided = _exact_period(L, X, vec, fix, param_values,
                             constants or (lambda: A.check_closure(L)))
     if decided is None:
@@ -136,7 +137,10 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
     omega_squared, note = decided
     if omega_squared is None:
         return None, note
-    period = 2 * math.pi / math.sqrt(omega_squared)
+    try:
+        period = 2 * math.pi / math.sqrt(omega_squared)
+    except (OverflowError, ZeroDivisionError):  # omega^2 beyond float range either way
+        raise ValueError(f"{note}, but its period is out of float range") from None
     misses = FL.return_misses(X, start, period, tol, steps=steps, starts=8, seed=seed,
                               scale=scale)
     worst = max(misses, default=math.inf)

@@ -226,6 +226,17 @@ class TestFlowAndMonodromy:
         assert code == 2 and not out
         assert err == "error: --from needs 2 coordinates, got 3\n"
 
+    @pytest.mark.parametrize("combo", ["0,0,0,0,0,1e-400", "0,0,0,0,1e300,1e300"],
+                             ids=["underflows", "overflows"])
+    def test_monodromy_period_out_of_float_range_exit_1(self, euclid_file, combo, capsys):
+        # omega^2 is 10^-800 or 2*10^600: exact, but its period has no float
+        code, out, err = run(["monodromy", euclid_file, "--gen-combo", combo,
+                              "--from", "0,0,0", "--t-max", "1", "--steps", "1"], capsys)
+        assert code == 1 and not out
+        assert err.startswith("error: exact: affine, A semisimple, charpoly λ²(λ²+")
+        assert err.endswith("), but its period is out of float range\n")
+        assert len(err.splitlines()) == 1
+
     def test_monodromy_fix_points_prove_the_period(self, capsys):
         # criterion (ii) needs a zero of X where the algebra is transitive
         code, out, _ = run(["monodromy", str(ALGEBRAS / "ex94-24.alg"),
@@ -323,6 +334,21 @@ class TestUsageErrors:
         (["monodromy", "{m}", "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
           "--fix", "1,x,0"],
          "error: --fix must be a rational number, got 'x'\n"),
+        (["monodromy", "{f}", "--gen-combo", "0,0,0,1,0,0", "--from", "1e400,0,0"],
+         "error: --from must be finite as a float, got '1e400'\n"),
+        (["monodromy", "{f}", "--gen-combo", "0,0,0,1e400,0,0", "--from", "1,0,0"],
+         "error: --gen-combo must be finite as a float, got '1e400'\n"),
+        (["monodromy", "{f}", "--gen-combo", "0,0,0,1,0,0", "--from", "1,0,0",
+          "--fix", "0,-1e400,0"],
+         "error: --fix must be finite as a float, got '-1e400'\n"),
+        (["flow", "{f}", "--gen", "4", "--from", "1e400,0,0", "--t", "1"],
+         "error: --from must be finite as a float, got '1e400'\n"),
+        (["flow", "{f}", "--gen", "4", "--from", "1,1e999999999,0", "--t", "1"],
+         "error: --from must be finite as a float, got '1e999999999'\n"),
+        (["flow", "{f}", "--gen", "4", "--from", "1" + "0" * 400 + "/3,0,0", "--t", "1"],
+         "error: --from must be finite as a float, got '1" + "0" * 400 + "/3'\n"),
+        (["invariants", "{p}", "--param", "c=1e400"],
+         "error: --param c must be finite as a float, got '1e400'\n"),
         (["closure", "{d}/two-vars.alg"], "error: line 2: a second 'vars:' line\n"),
         (["closure", "{d}/two-params.alg"], "error: line 3: a second 'params:' line\n"),
         (["invariants", "{d}/expect-word.alg"],
@@ -336,6 +362,8 @@ class TestUsageErrors:
             "file-missing", "file-is-directory", "file-not-utf8", "csv-unwritable",
             "t-nan", "t-infinite", "t-not-a-number", "t-max-negative", "t-max-nan",
             "tol-nan", "tol-negative", "tol-zero", "fix-wrong-length", "fix-not-a-number",
+            "from-overflows", "gen-combo-overflows", "fix-overflows", "flow-from-overflows",
+            "huge-exponent-refused-before-expanding", "ratio-overflows", "param-overflows",
             "vars-twice", "params-twice", "expect-not-a-value", "expect-key-twice"])
     def test_exit_2_with_one_line(self, euclid_file, tmp_path, argv, message, capsys):
         (tmp_path / "latin1.alg").write_bytes(b"vars: x\xe9\nfield: p\n")

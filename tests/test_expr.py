@@ -535,3 +535,110 @@ class TestAlgebraProperties:
             return
         prod = E.mul(e, E.inverse(e))
         assert E.is_identically_zero(E.add(prod, E.const(-1))) is E.Zeroness.YES
+
+
+def _coefficients(e):
+    """Every coefficient of e, and of the expressions inside its function
+    nodes and inverted blocks."""
+    for mon, c in e.terms:
+        yield c
+        for factor, _ex in mon:
+            if factor[0] == E._F:
+                yield from _coefficients(factor[2])
+            elif factor[0] == E._Q:
+                yield from _coefficients(factor[1])
+
+
+def _canonical(e) -> bool:
+    """Each coefficient an int when integral, else a non-integral Fraction."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in _coefficients(e))
+
+
+def _catalog_exprs(entry):
+    """The entry's generators at every parameter sample, structure constants,
+    invariants and 2-point prolongations."""
+    L = entry.presentation()
+    for pv in [{}] + [pv for pv in entry.param_value_maps() if pv]:
+        for g in L.generators:
+            yield from F.substitute_params(g, pv).coeffs
+    for g in L.generators:
+        yield from F.prolong_points(g, 2).coeffs
+    try:
+        C = A.check_closure(L)
+    except A.NotClosedError as err:
+        yield from err.residual.coeffs
+    else:
+        yield from (c for plane in C.c for row in plane for c in row)
+    for J in entry.parsed_invariants():
+        yield J.body
+
+
+class TestCanonicalCoefficients:
+    """An integral coefficient is stored as an int and any other as a
+    Fraction; every division of a coefficient divides as Fractions."""
+
+    @pytest.mark.parametrize("entry", CAT.builtin_entries(), ids=lambda entry: entry.id)
+    def test_catalog_expressions(self, entry):
+        exprs = list(_catalog_exprs(entry))
+        assert exprs
+        for e in exprs:
+            assert _canonical(e), e
+
+    def test_integers_and_units_are_ints(self):
+        e = parse("3*x^2 - x*y + 2/4*y + 1/2 + 3/2")
+        assert [type(c) for _, c in e.terms] == [int, int, Fraction, int]
+        assert _canonical(E.ONE) and _canonical(E.var(0)) and _canonical(E.param(0))
+        assert _canonical(E.fn(E.EXP, parse("x")))
+        assert _canonical(E.mul(parse("1/2*x"), parse("2*y")))
+        assert _canonical(E.add(parse("1/2*x"), parse("1/2*x")))
+
+    def test_inverse_of_constants_divides_as_fractions(self):
+        assert E.inverse(E.const(2)).terms == (((), Fraction(1, 2)),)
+        assert type(E.inverse(E.const(2)).terms[0][1]) is Fraction
+        assert type(E.inverse(E.const(Fraction(1, 2))).terms[0][1]) is int
+        assert type(E.inverse(parse("3*x^2")).terms[0][1]) is Fraction
+
+    def test_inverse_of_block_with_lead_two(self):
+        inv = E.inverse(parse("2*x + 1"))
+        [(mon, c)] = inv.terms
+        [((tag, base), ex)] = mon
+        assert (tag, ex) == (E._Q, -1) and c == Fraction(1, 2)
+        assert base == parse("x + 1/2")
+        assert _canonical(inv)
+        residual = E.add(E.mul(inv, parse("2*x + 1")), E.const(-1))
+        assert E.is_identically_zero(residual) is E.Zeroness.YES
+
+    def test_negative_power_substitution_divides_as_fractions(self):
+        e = E.substitute_vars(parse("3*x^-2*y"), {0: E.const(2)})
+        assert e == parse("3/4*y") and _canonical(e)
+
+    def test_constant_value_is_a_fraction(self):
+        for e in (E.ZERO, E.ONE, E.const(3), E.const(Fraction(1, 2)), parse("2 + 2")):
+            assert type(e.constant_value()) is Fraction
+        assert parse("x").constant_value() is None
+
+    def test_no_float_in_exact_linear_algebra_of_the_catalog(self, monkeypatch):
+        from liefields import exactla
+        outputs = []
+        real_rref, real_solve = exactla.rref, exactla.solve
+
+        def rref(*args, **kwargs):
+            rows, pivots = real_rref(*args, **kwargs)
+            outputs.extend(cell for row in rows for cell in row)
+            return rows, pivots
+
+        def solve(*args, **kwargs):
+            out = real_solve(*args, **kwargs)
+            outputs.extend(cell for solution, _ in out for cell in solution)
+            return out
+
+        monkeypatch.setattr(exactla, "rref", rref)
+        monkeypatch.setattr(exactla, "solve", solve)
+        reports = CAT.verify_catalog(seed=0)
+        assert all(r.passed for r in reports)
+        exprs = [c for c in outputs if isinstance(c, E.Expr)]
+        values = [c for c in outputs if not isinstance(c, E.Expr)]
+        assert exprs and values
+        assert all(type(v) in (int, Fraction) for v in values)
+        assert all(_canonical(e) for e in exprs)
