@@ -24,7 +24,6 @@ SHAPES = {"thm37-1": (3, 6), "ex87-51": (3, 6), "ex94-24": (3, 6), "ex90-60a": (
 NON_POLYNOMIAL_ALG = "vars: x y\nfield: p\nfield: q\nfield: -y*p + x*q + x^-1*p\n"
 
 
-
 def _mostly(good, bad):
     """A token, from good about three times in four, else from bad."""
     return st.sampled_from(good * (3 * len(bad) // len(good) + 1) + bad)
