@@ -320,11 +320,14 @@ def complete_system_solve_single(X: VectorField, pivot: int, order: int = 24,
 
 
 def _first_return(X: VectorField, x0, t_max: float, tol: float, steps: int):
-    """First t > tol with ||x(t) - x0|| < tol, bracketed on the coarse
-    trajectory then refined by golden-section on the distance."""
+    """(first t > tol with ||x(t) - x0|| < tol, distance there), (None, closest
+    miss), or (None, 0.0) when x0 moves less than 10 * tol: at rest. Coarse
+    minima are refined by ternary search on the cubic Hermite interpolant of
+    the RK4 samples, X at the samples its slopes, so nothing is re-integrated."""
     x0 = F._as_point(x0)
     traj = numeric_flow(X, x0, t_max, steps, record=True)
     start = [float(v) for v in x0.coords]
+    params = {k: float(v) for k, v in x0.params.items()}
 
     def dist(pt):
         return max(abs(a - b) for a, b in zip(pt, start))
@@ -337,32 +340,28 @@ def _first_return(X: VectorField, x0, t_max: float, tol: float, steps: int):
     qualify = max(1000 * tol, max_d / 50)
 
     def refine(idx):
-        """Golden-section minimum of the distance around coarse sample idx."""
-        lo_t = ds[idx - 1][0]
-        hi_t = ds[min(idx + 1, len(ds) - 1)][0]
-        anchor = F.Point(traj.samples[idx - 1][1], x0.params)
+        """Minimum of the interpolated distance between samples idx - 1 and idx + 1."""
+        nodes = [(t, pt, [E.evaluate_numeric(c, pt, params) for c in X.coeffs])
+                 for t, pt in traj.samples[idx - 1:idx + 2]]
 
         def d_at(t):
-            if t <= lo_t:
-                return ds[idx - 1][1]
-            return dist(numeric_flow(X, anchor, t - lo_t, 400).endpoint)
+            (t0, y0, f0), (t1, y1, f1) = nodes[:2] if t < nodes[1][0] else nodes[1:]
+            h = t1 - t0
+            s = (t - t0) / h
+            w0, w1 = (1 + 2 * s) * (1 - s) ** 2, s * s * (3 - 2 * s)
+            v0, v1 = h * s * (1 - s) ** 2, h * s * s * (s - 1)
+            return dist([w0 * u + w1 * v + v0 * du + v1 * dv
+                         for u, v, du, dv in zip(y0, y1, f0, f1)])
 
-        phi = (math.sqrt(5.0) - 1) / 2
-        a, b = lo_t, hi_t
-        c1 = b - phi * (b - a)
-        c2 = a + phi * (b - a)
-        f1, f2 = d_at(c1), d_at(c2)
-        for _ in range(60):
+        a, b = nodes[0][0], nodes[2][0]
+        for _ in range(100):  # 2/3 of the bracket per pass; the cap stops it at float resolution
             if b - a < 1e-12:
                 break
-            if f1 < f2:
-                b, c2, f2 = c2, c1, f1
-                c1 = b - phi * (b - a)
-                f1 = d_at(c1)
+            c1, c2 = a + (b - a) / 3, b - (b - a) / 3
+            if d_at(c1) < d_at(c2):
+                b = c2
             else:
-                a, c1, f1 = c1, c2, f2
-                c2 = a + phi * (b - a)
-                f2 = d_at(c2)
+                a = c1
         t_star = (a + b) / 2
         return t_star, d_at(t_star)
 
@@ -399,31 +398,37 @@ def start_points(x0, seed: int = 0, scale: float = 1.0):
         yield F.Point(tuple(c + rng.uniform(-scale, scale) for c in x0.coords), x0.params)
 
 
+def _in_domain(run, x0, starts: int, seed: int, scale: float):
+    """(start, run(start)) for each of the first 20 * starts start_points on
+    which run raises no DomainError: the start rule of monodromy_period and
+    return_misses, which take the first `starts` they accept."""
+    for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
+        try:
+            result = run(start)
+        except E.DomainError:
+            continue
+        yield start, result
+
+
 def monodromy_period(X: VectorField, x0, t_max: float = 20.0, tol: float = 1e-6,
                      steps: int = 20000, starts: int = 8, seed: int = 0,
                      scale: float = 1.0):
-    """Common first-return time of the flow, validated at `starts` distinct
-    random start points (all must agree within tol). None when any trajectory
-    fails to return, with min-distance diagnostics."""
-    periods = []
-    diagnostics = []
-    for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
-        try:
-            t_star, d = _first_return(X, start, t_max, tol, steps)
-        except E.DomainError:
-            continue
+    """Common first-return time of the flow, validated at `starts` start
+    points that move (all must agree within tol), or None. The diagnostics
+    list (coordinates, first return or None, distance) per start tried in
+    the domain; a start at rest is listed with (None, 0.0) and resampled."""
+    periods, diagnostics = [], []
+    for start, (t_star, d) in _in_domain(
+            lambda start: _first_return(X, start, t_max, tol, steps), x0, starts, seed, scale):
+        diagnostics.append((start.coords, t_star, d))
         if t_star is None and d == 0.0:
             continue  # start point at rest: resample
-        diagnostics.append((start.coords, t_star, d))
         if t_star is None:
             return None, diagnostics
         periods.append(t_star)
         if len(periods) == starts:
             break
-    if len(periods) < starts:
-        return None, diagnostics
-    spread = max(periods) - min(periods)
-    if spread > tol:
+    if len(periods) < starts or max(periods) - min(periods) > tol:
         return None, diagnostics
     return sum(periods) / len(periods), diagnostics
 
@@ -434,8 +439,7 @@ _FIRST_RUNG = 1000
 def return_misses(X: VectorField, x0, period: float, tol: float, steps: int = 20000,
                   starts: int = 8, seed: int = 0, scale: float = 1.0) -> List[float]:
     """Max-norm distance of each start point from its image after one period,
-    for the first `starts` of start_points(x0, seed, scale) whose integration
-    stays in the domain (at most 20 * starts tries, as in monodromy_period).
+    for the first `starts` start points of _in_domain.
 
     Each start is integrated over the period with RK4 at n = min(1000, steps)
     steps, then at twice as many, up to `steps`. Once two rungs exist, d =
@@ -444,15 +448,9 @@ def return_misses(X: VectorField, x0, period: float, tol: float, steps: int = 20
     and rejected with miss(n) when miss(n) - d is not. At `steps` the plain
     miss is recorded, so `steps` caps the work and a caller comparing each
     miss with tol keeps its meaning there."""
-    misses = []
-    for start in itertools.islice(start_points(x0, seed, scale), 20 * starts):
-        try:
-            misses.append(_doubled_miss(X, start, period, tol, steps))
-        except E.DomainError:
-            continue
-        if len(misses) == starts:
-            break
-    return misses
+    tried = _in_domain(lambda start: _doubled_miss(X, start, period, tol, steps),
+                       x0, starts, seed, scale)
+    return [miss for _, miss in itertools.islice(tried, starts)]
 
 
 def _doubled_miss(X: VectorField, start: F.Point, period: float, tol: float,

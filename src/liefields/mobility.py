@@ -113,13 +113,15 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
 
     X is decided exactly where one of the criteria of _exact_period applies,
     and the note starts with ``exact: ``. A period found that way is
-    cross-checked by integrating over it from each of the eight start points
-    of flows.monodromy_period around `start`, doubling the RK4 steps from
-    1,000 up to at most `steps` until the step-doubling error estimate
-    settles the miss against tol (flows.return_misses); a miss of tol or
+    cross-checked by integrating over it from eight start points around
+    `start`, drawn by flows._in_domain, the one start rule that
+    flows.monodromy_period follows too. The RK4 steps double from 1,000 up
+    to at most `steps` until the step-doubling error estimate settles the
+    miss against tol (flows.return_misses); a miss of tol or
     more raises ReturnMismatch, and a period with no float ValueError. Any
     other X falls back to flows.monodromy_period with t_max, tol and steps,
-    and the note starts with ``numeric: ``. Start points are drawn around
+    and the note starts with ``numeric: ``; it says ``at rest`` when no start
+    in the domain moves 10 * tol within t_max. Start points are drawn around
     `start` at `scale`. `fix` lists the candidate fixed points of criterion
     (ii). `constants` returns the structure constants of L,
     A.check_closure(L) by default; it is called only when criterion (ii)
@@ -129,10 +131,13 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
     if decided is None:
         period, diag = FL.monodromy_period(X, start, t_max=t_max, tol=tol, steps=steps,
                                            seed=seed, scale=scale)
-        misses = ", ".join(f"{d:.3e}" for _, t, d in diag[:4] if t is None)
+        moved = [(t, d) for _, t, d in diag if t is not None or d]  # (None, 0.0): at rest
+        misses = ", ".join(f"{d:.3e}" for t, d in moved[:4] if t is None)
         return period, "numeric: " + (f"min distances: {misses}" if misses else
                                       f"returns at {period:.9f}" if period else
-                                      "no common return" if diag else
+                                      "no common return" if moved else
+                                      "at rest: every start in the domain moves less than "
+                                      f"10*tol = {_short(10 * tol)} within t_max" if diag else
                                       "no start moves inside the domain")
     omega_squared, note = decided
     if omega_squared is None:
@@ -146,8 +151,12 @@ def return_period(L: A.LieAlgebraPresentation, X: F.VectorField, vec: Sequence[F
     worst = max(misses, default=math.inf)
     if len(misses) < 8 or not worst < tol:
         raise ReturnMismatch(f"{note}, period {period:.9f}, but a start misses by {worst:.3e}")
-    within = f"{tol:g}".replace("e-0", "e-")  # 1e-6, not 1e-06
-    return period, f"{note}, returns at {period:.9f} (8 starts within {within})"
+    return period, f"{note}, returns at {period:.9f} (8 starts within {_short(tol)})"
+
+
+def _short(x: float) -> str:
+    """x in %g form with a one-digit negative exponent: 1e-6, not 1e-06."""
+    return f"{x:g}".replace("e-0", "e-")
 
 
 def _exact_period(L, X, vec, fix, pv, constants):

@@ -43,6 +43,22 @@ def non_polynomial_file(tmp_path):
     return str(path)
 
 
+# the rotation in the coordinates (x, y + x^2): no exact criterion applies
+BENT_ROTATION_ALG = """\
+vars: x y
+field: p
+field: q
+field: -(y + x^2)*p + (x + 2*x*y + 2*x^3)*q
+"""
+
+
+@pytest.fixture
+def bent_rotation_file(tmp_path):
+    path = tmp_path / "bent.alg"
+    path.write_text(BENT_ROTATION_ALG)
+    return str(path)
+
+
 @pytest.fixture
 def euclid_file(tmp_path):
     path = tmp_path / "euclid.alg"
@@ -218,6 +234,27 @@ class TestFlowAndMonodromy:
                             "--from", "1,1", "--t-max", "2", "--steps", "2000"], capsys)
         assert code == 0
         assert out.startswith("None (numeric: min distances: ")
+
+    @pytest.mark.parametrize("option", [["--tol", "10"], ["--t-max", "1e-300"]],
+                             ids=["tol", "t-max"])
+    def test_monodromy_starts_at_rest(self, bent_rotation_file, option, capsys):
+        # every start stays in the domain but moves less than 10*tol within t_max
+        code, out, _ = run(["monodromy", bent_rotation_file, "--gen-combo", "0,0,1",
+                            "--from", "1/2,1/2", "--t-max", "8", "--steps", "100", *option],
+                           capsys)
+        ten_tol = {"--tol": "100", "--t-max": "1e-5"}[option[0]]
+        assert code == 0
+        assert out == ("None (numeric: at rest: every start in the domain moves less than "
+                       f"10*tol = {ten_tol} within t_max)\n")
+
+    def test_monodromy_starts_leaving_the_domain(self, tmp_path, capsys):
+        # (1 + x^2)*p runs off to infinity before t_max from every start
+        path = tmp_path / "sl2.alg"
+        path.write_text("vars: x\nfield: p + x^2*p\nfield: x*p\nfield: p - x^2*p\n")
+        code, out, _ = run(["monodromy", str(path), "--gen-combo", "1,0,0", "--from", "1/2"],
+                           capsys)
+        assert code == 0
+        assert out == "None (numeric: no start moves inside the domain)\n"
 
     def test_monodromy_start_of_wrong_length_exit_2(self, capsys):
         # a "never" verdict integrates nothing, so the start is checked up front

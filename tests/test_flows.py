@@ -293,6 +293,21 @@ class TestMonodromy:
         info = FL._rk4_kernel.cache_info()
         assert info.misses == 1 and info.hits > 0
 
+    def test_one_integration_per_start(self, monkeypatch):
+        # minima are found on the recorded samples: nothing is re-integrated,
+        # and the starts are those the cross-check of an exact period uses
+        X = fld("y*p - x*q", V2)
+        calls = _count_steps(monkeypatch)
+        period, diag = FL.monodromy_period(X, F.Point((1.0, 0.5)), t_max=8.0,
+                                           steps=4000, seed=0)
+        assert abs(period - 2 * math.pi) < 1e-6
+        assert [steps for _, steps in calls] == [4000] * 8
+        starts = [coords for coords, _ in calls]
+        assert [coords for coords, _, _ in diag] == starts
+        calls.clear()
+        FL.return_misses(X, F.Point((1.0, 0.5)), period, 1e-6, seed=0)
+        assert list(dict.fromkeys(coords for coords, _ in calls)) == starts
+
     def test_circle_period(self):
         period, _ = FL.monodromy_period(fld("y*p - x*q", V2), F.Point((1.0, 0.5)),
                                         t_max=10.0, steps=20000, seed=3)
