@@ -90,7 +90,7 @@ def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     monomials found only in brackets are zero in A, so they are never pivots
     and never updated: each bracket's column sees the operations of its own
     solve."""
-    r, n = L.order, L.dim
+    r = L.order
     key_index: dict = {}
     columns = F.coefficient_rows(L.generators, key_index)
     pairs = [(j, k) for j in range(r) for k in range(j + 1, r)]
@@ -102,11 +102,7 @@ def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
                               exactla.EXPR_OPS)
     table = [[[E.ZERO] * r for _ in range(r)] for _ in range(r)]
     for (j, k), B, (constants, _consistent) in zip(pairs, brackets, solutions):
-        combo = F.zero_field(n)
-        for s, cs in enumerate(constants):
-            if not cs.is_zero:
-                combo = combo + (cs * L.generators[s])
-        residual = B - combo
+        residual = B - F.combination(constants, L.generators)
         if not residual.is_zero:
             raise NotClosedError(j, k, residual)
         for s, cs in enumerate(constants):
@@ -190,13 +186,7 @@ def isotropy_at_point(L: LieAlgebraPresentation, base, param_values=None) -> Iso
         matrix = [F.evaluate_exact_at(g, coords, pv) for g in L.generators]
         kernel = exactla.nullspace(_transpose(matrix), exactla.FRACTION_OPS)
         combos = [[E.const(v) for v in row] for row in kernel]
-    vanishing = []
-    for row in combos:
-        X = F.zero_field(L.dim)
-        for s, cs in enumerate(row):
-            if not cs.is_zero:
-                X = X + (cs * L.generators[s])
-        vanishing.append(F.substitute_params(X, pv))
+    vanishing = [F.substitute_params(F.combination(row, L.generators), pv) for row in combos]
     linear = _linear_isotropy_matrices(vanishing, coords, pv, L.dim)
     reduced = _reduced_basis(linear, L.dim)
     return IsotropyReport(tuple(coords), combos, vanishing, linear, reduced)

@@ -525,14 +525,8 @@ def monodromy_generator(L: A.LieAlgebraPresentation, fix_points: Sequence[Sequen
             row.extend(F.evaluate_exact_at(g, [Fraction(v) for v in pt], param_values))
         rows.append(row)
     kernel = exactla.nullspace([list(col) for col in zip(*rows)])
-    combos = []
-    for vec in kernel:
-        X = F.zero_field(L.dim)
-        for s, cs in enumerate(vec):
-            if cs:
-                X = X + (E.const(cs) * L.generators[s])
-        combos.append((vec, F.substitute_params(X, param_values)))
-    return combos
+    return [(vec, F.substitute_params(F.combination(vec, L.generators), param_values))
+            for vec in kernel]
 
 
 class _Context:

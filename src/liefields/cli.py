@@ -282,11 +282,7 @@ def _dispatch(args, seed: int) -> int:
         if len(weights) != L.order:
             raise UsageError(
                 f"--gen-combo needs {L.order} coefficients, got {len(weights)}")
-        X = F.zero_field(L.dim)
-        for w, g in zip(weights, L.generators):
-            if w:
-                X = X + (E.const(w) * g)
-        X = F.substitute_params(X, pv)
+        X = F.substitute_params(F.combination(weights, L.generators), pv)
         _require_instantiated(X, af)
         start = F.Point(_parse_point(args.start, "--from", L.dim))
         fix = [_parse_point(p, "--fix", L.dim) for p in args.fix]

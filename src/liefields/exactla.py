@@ -1,11 +1,12 @@
 """Exact linear algebra over the rationals and over rational functions of
-the parameters (Expr entries). Determinism is the point, not asymptotics.
+the parameters or variables (Expr entries). Determinism is the point, not
+asymptotics.
 
 Three eliminations, each done once in the cheapest exact arithmetic:
 - ``rank`` over Q clears each row's denominators and eliminates
   fraction-free on Python ints (gcd-normalised rows); row scaling keeps the
-  rank, and no value leaves the function. Over Q(params) it counts the
-  pivots of ``rref``.
+  rank, and no value leaves the function. Over Q(params), or Q(x') for
+  the isotropy rows, it counts the pivots of ``rref``.
 - ``solve`` takes a list of right-hand sides and eliminates the augmented
   matrix [A | b_1 ... b_m] once; each column goes through exactly the
   operations of its own solve.
@@ -64,8 +65,9 @@ class FractionOps(FieldOps):
 
 
 class ExprOps(FieldOps):
-    """Rational functions of the parameters. Zero decisions are exact because
-    parameter polynomials carry no transcendental nodes."""
+    """Rational functions of the parameters or variables. Zero decisions are
+    exact on entries that carry no transcendental nodes; a surviving node
+    raises ExprError."""
 
     zero = E.ZERO
     one = E.ONE
@@ -134,7 +136,8 @@ def rref(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS, max_col: int 
 
 def rank(matrix: Sequence[Sequence], ops: FieldOps = FRACTION_OPS) -> int:
     """Rank over Q (int and Fraction entries; anything else raises
-    TypeError) or, with EXPR_OPS, over Q(params)."""
+    TypeError) or, with EXPR_OPS, over the rational functions of the
+    entries' parameters and variables."""
     if ops is not FRACTION_OPS:
         return len(rref(matrix, ops)[1])
     rows = [row for row in map(_integer_row, matrix) if any(row)]
@@ -217,42 +220,3 @@ def det3(matrix, mul, add, neg):
     t3 = mul(c, add(mul(d, h), neg(mul(e, g))))
     return add(add(t1, t2), t3)
 
-
-def symmetric_signature(matrix: Sequence[Sequence[Fraction]]):
-    """Signature (positive, zero, negative) of an exact symmetric matrix via
-    congruence diagonalization."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] for row in matrix]
-    pos = zero = negv = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if swap is not None:
-                a[k], a[swap] = a[swap], a[k]
-                for row in a:
-                    row[k], row[swap] = row[swap], row[k]
-            else:
-                mate = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if mate is None:
-                    zero += 1
-                    continue
-                for j in range(n):
-                    a[k][j] += a[mate][j]
-                for i in range(n):
-                    a[i][k] += a[i][mate]
-        d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            negv += 1
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-        for j in range(k + 1, n):
-            if a[k][j] != 0:
-                f = a[k][j] / d
-                for i in range(n):
-                    a[i][j] -= f * a[i][k]
-    return pos, zero, negv

@@ -1,5 +1,5 @@
-"""Vector fields as first-order derivations: bracket, application, rank,
-truncation and the three prolongations (point tuples, first jets,
+"""Vector fields as first-order derivations: bracket, application,
+combination, rank and the three prolongations (point tuples, first jets,
 differentials)."""
 
 from __future__ import annotations
@@ -67,12 +67,20 @@ class VectorField:
         return all(E.is_polynomial(c) for c in self.coeffs)
 
 
-def zero_field(dim: int) -> VectorField:
-    return VectorField(dim, tuple(E.ZERO for _ in range(dim)))
-
-
 def coordinate_field(dim: int, i: int) -> VectorField:
     return VectorField(dim, tuple(E.ONE if j == i else E.ZERO for j in range(dim)))
+
+
+def combination(coeffs: Sequence, fields: Sequence[VectorField]) -> VectorField:
+    """sum_s coeffs[s] * fields[s] for Expr or exact-number coefficients,
+    each coordinate summed once; zero coefficients are skipped. Canonical
+    forms are unique, so this is the field that adding the terms one by one
+    gives."""
+    terms = [(c if isinstance(c, E.Expr) else E.const(c), X) for c, X in zip(coeffs, fields)]
+    terms = [(c, X) for c, X in terms if not c.is_zero]
+    n = fields[0].dim
+    return VectorField(n, tuple(E.add_many(E.mul(c, X.coeffs[i]) for c, X in terms)
+                                for i in range(n)))
 
 
 def apply_to_function(X: VectorField, f: E.Expr) -> E.Expr:
@@ -195,31 +203,7 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# truncation and prolongations
-
-
-def truncate_to_linear(X: VectorField, base) -> VectorField:
-    """Taylor-expand each coefficient at base and keep the constant and linear
-    parts, re-expressed in the original coordinates. Parameters stay symbolic."""
-    base = _as_point(base)
-    coords = [Fraction(v) for v in base.coords]
-    shift = {i: E.add(E.const(coords[i]), E.var(i)) for i in range(X.dim)}
-    out = []
-    for c in X.coeffs:
-        if not E.is_polynomial(c):
-            raise E.NonPolynomialError("truncate_to_linear needs polynomial coefficients")
-        shifted = E.substitute_vars(c, shift)
-        pieces = []
-        for expo, val in E.poly_coefficients(shifted, X.dim).items():
-            if sum(expo) > 1:
-                continue
-            piece = val
-            for i, e in enumerate(expo):
-                if e:
-                    piece = E.mul(piece, E.add(E.var(i), E.const(-coords[i])))
-            pieces.append(piece)
-        out.append(E.add_many(pieces))
-    return VectorField(X.dim, tuple(out))
+# prolongations
 
 
 def prolong_points(X: VectorField, s: int) -> VectorField:

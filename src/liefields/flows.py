@@ -416,12 +416,16 @@ def monodromy_period(X: VectorField, x0, t_max: float = 20.0, tol: float = 1e-6,
     """Common first-return time of the flow, validated at `starts` start
     points that move (all must agree within tol), or None. The diagnostics
     list (coordinates, first return or None, distance) per start tried in
-    the domain; a start at rest is listed with (None, 0.0) and resampled."""
-    periods, diagnostics = [], []
+    the domain; a start at rest is listed with (None, 0.0) and resampled,
+    and once `starts` starts were at rest the search gives up."""
+    periods, diagnostics, resting = [], [], 0
     for start, (t_star, d) in _in_domain(
             lambda start: _first_return(X, start, t_max, tol, steps), x0, starts, seed, scale):
         diagnostics.append((start.coords, t_star, d))
         if t_star is None and d == 0.0:
+            resting += 1
+            if resting == starts:
+                break
             continue  # start point at rest: resample
         if t_star is None:
             return None, diagnostics

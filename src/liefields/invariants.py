@@ -1,7 +1,7 @@
 """Finite and infinitesimal invariants: annihilation checks for multi-point
-candidates, existence of invariants of infinitely-near points, the arc-length
-homogeneity criterion, Lie derivatives of quadratic forms, essentialness of
-multi-point invariants, and a pseudosphere sampling helper."""
+candidates, existence of invariants of infinitely-near points (an exact rank
+of the linear isotropy), the arc-length homogeneity criterion, and
+essentialness of multi-point invariants."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import algebra as A, exactla, expr as E
 from . import fields as F
-from .fields import VectorField
 
 
 class Verdict(Enum):
@@ -42,25 +41,6 @@ class VerificationOutcome:
     witness_generator: Optional[int] = None
     witness_residual: Optional[E.Expr] = None
     witness_value: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    dim: int
-    entries: tuple  # n x n symmetric tuple of tuples of Expr
-
-    def __post_init__(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("quadratic form must be exactly symmetric")
-
-
-def identity_form(dim: int) -> QuadraticForm:
-    rows = tuple(
-        tuple(E.ONE if i == j else E.ZERO for j in range(dim)) for i in range(dim)
-    )
-    return QuadraticForm(dim, rows)
 
 
 _NUM_CONFIGS = 32
@@ -143,41 +123,30 @@ def _witness_value(res: E.Expr, nvars: int, seed: int, param_values=None):
 # infinitesimal invariants
 
 
-def _isotropy_row_rank(mats, n, seed: int) -> int:
-    """Generic rank over x' of the rows (J_k x')^T of the linear isotropy."""
-    rng = random.Random(seed)
-    best = 0
-    for _ in range(8):
-        v = [F.random_rational(rng) for _ in range(n)]
-        rows = []
-        for J in mats:
-            row = []
-            for nu in range(n):
-                acc = Fraction(0)
-                for mu in range(n):
-                    cv = J[nu][mu].constant_value()
-                    if cv is None:
-                        raise E.ExprError("instantiate parameters before rank test")
-                    acc += cv * v[mu]
-                row.append(acc)
-            rows.append(row)
-        if rows:
-            best = max(best, exactla.rank(rows))
-    return best
+def _generic_isotropy(L: A.LieAlgebraPresentation, seed: int, param_values) -> A.IsotropyReport:
+    """The isotropy of L at a generic rational point."""
+    coords, params = A.find_generic_point(L, seed=seed, param_values=param_values)
+    return A.isotropy_at_point(L, F.Point(coords), params)
+
+
+def _isotropy_row_rank(report: A.IsotropyReport) -> int:
+    """Rank over Q(x') of the rows (J_k x')^T of the linear isotropy: the
+    coefficients of its fields sum_mu J_k[nu][mu] x'_mu, the reduced basis
+    past the translations. One exact elimination, no draws."""
+    rows = [X.coeffs for X in report.reduced_basis[len(report.base):]]
+    return exactla.rank(rows, exactla.EXPR_OPS)
 
 
 def infinitesimal_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
                                    param_values=None) -> bool:
     """True iff two infinitely-near points carry an invariant: the linear
-    isotropy at a generic point must have generic row rank < dim on the primed
-    block. Intransitive algebras always qualify."""
+    isotropy at a generic point must have row rank < dim on the primed
+    block, decided exactly over Q(x'). Intransitive algebras always
+    qualify."""
     if not A.is_transitive(L, seed=seed, param_values=param_values):
         return True
-    coords, params = A.find_generic_point(L, seed=seed, param_values=param_values)
-    mats = A.linear_isotropy_group(L, F.Point(coords), params)
-    if not mats:
-        return False
-    return _isotropy_row_rank(mats, L.dim, seed) < L.dim
+    report = _generic_isotropy(L, seed, param_values)
+    return bool(report.linear_isotropy) and _isotropy_row_rank(report) < L.dim
 
 
 def infinitesimal_invariant_exists_by_prolongation(L: A.LieAlgebraPresentation,
@@ -202,11 +171,9 @@ def arc_length_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
     such invariants are homogeneous of order zero)."""
     if not A.is_transitive(L, seed=seed, param_values=param_values):
         raise ValueError("arc-length criterion defined for transitive algebras")
-    coords, params = A.find_generic_point(L, seed=seed, param_values=param_values)
-    mats = A.linear_isotropy_group(L, F.Point(coords), params)
-    if not mats:
-        return False
-    if _isotropy_row_rank(mats, L.dim, seed) >= L.dim:
+    report = _generic_isotropy(L, seed, param_values)
+    mats = report.linear_isotropy
+    if not mats or _isotropy_row_rank(report) >= L.dim:
         return False
     n = L.dim
     rows = []
@@ -215,28 +182,6 @@ def arc_length_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
     identity_vec = [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
     with_id = rows + [identity_vec]
     return exactla.rank(with_id) != exactla.rank(rows)
-
-
-# ---------------------------------------------------------------------------
-# Lie derivative of a quadratic form
-
-
-def lie_derivative_quadratic_form(X: VectorField, g: QuadraticForm) -> QuadraticForm:
-    """(L_X g)_ij = X(g_ij) + sum_k g_kj d(xi_k)/d(x_i) + sum_k g_ik d(xi_k)/d(x_j)."""
-    if X.dim != g.dim:
-        raise ValueError("dimension mismatch")
-    n = X.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            pieces = [F.apply_to_function(X, g.entries[i][j])]
-            for k in range(n):
-                pieces.append(E.mul(g.entries[k][j], E.differentiate(X.coeffs[k], i)))
-                pieces.append(E.mul(g.entries[i][k], E.differentiate(X.coeffs[k], j)))
-            row.append(E.add_many(pieces))
-        rows.append(tuple(row))
-    return QuadraticForm(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -311,62 +256,3 @@ def essential_invariant_check(L: A.LieAlgebraPresentation, s: int, seed: int = 0
         independent = _gradient_rank(pair_invariants, L.dim, s, seed, params=param_values)
     return count > independent
 
-
-# ---------------------------------------------------------------------------
-# pseudosphere sampling
-
-
-def sample_pseudosphere_points(J: InvariantCandidate, center: Sequence[float],
-                               level: float, n: int, seed: int = 0, count: int = 8,
-                               params=None) -> List[tuple]:
-    """Points x with J(center; x) = level, found by sign-change bracketing of
-    the level function along random rays, then bisection."""
-    rng = random.Random(seed)
-    out = []
-    # the float evaluator takes floats: an int center could give an int value
-    center = [float(v) for v in center]
-    params = {j: float(v) for j, v in (params or {}).items()}
-
-    def value(pt):
-        coords = center + list(pt)
-        return E.evaluate_numeric(J.body, coords, params) - level
-
-    def bisect(origin, direction, lo, hi, sign_lo):
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            pm = [o + mid * d for o, d in zip(origin, direction)]
-            try:
-                vm = value(pm)
-            except (E.DomainError, OverflowError):
-                return None
-            if vm == 0:
-                return mid
-            if (vm < 0) == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        return (lo + hi) / 2
-
-    attempts = 0
-    while len(out) < count and attempts < 300 * count:
-        attempts += 1
-        origin = [rng.uniform(-2, 2) for _ in range(n)]
-        direction = [rng.uniform(-1, 1) for _ in range(n)]
-        prev_t, prev_v = None, None
-        for k in range(1, 65):
-            t = k / 16
-            pt = [o + t * d for o, d in zip(origin, direction)]
-            try:
-                v = value(pt)
-            except (E.DomainError, OverflowError):
-                prev_t, prev_v = None, None
-                continue
-            if prev_v is not None and (v == 0 or (v < 0) != (prev_v < 0)):
-                root = t if v == 0 else bisect(origin, direction, prev_t, t, prev_v < 0)
-                if root is not None:
-                    out.append(tuple(o + root * d for o, d in zip(origin, direction)))
-                break
-            prev_t, prev_v = t, v
-    if len(out) < count:
-        raise DomainExhausted("could not populate the pseudosphere sample")
-    return out

@@ -1,7 +1,7 @@
 """Mobility criteria: exact classification of linear one-parameter motions,
 the return period of a one-parameter subgroup, the seven planar projective
-normal forms, free mobility in the infinitesimal for ambient dimension 2
-and 3, Killing-form diagnostics."""
+normal forms, and free mobility in the infinitesimal for ambient dimension
+2 and 3."""
 
 from __future__ import annotations
 
@@ -523,25 +523,3 @@ def _restrict_to_plane_action(mats, stab_basis, v):
         out.append([[rows[0][0], rows[1][0]], [rows[0][1], rows[1][1]]])
     return out
 
-
-# ---------------------------------------------------------------------------
-# Killing form
-
-
-def killing_form_signature(C: A.StructureConstants, param_values=None):
-    """Signature (n+, n0, n-) of K_jk = sum_{s,t} c_js^t c_kt^s, exactly."""
-    r = C.order
-    K = [[Fraction(0)] * r for _ in range(r)]
-    for j in range(r):
-        for k in range(r):
-            acc = E.ZERO
-            for s in range(r):
-                for t in range(r):
-                    acc = E.add(acc, E.mul(C.c[j][s][t], C.c[k][t][s]))
-            if param_values:
-                acc = E.substitute_params(acc, param_values)
-            cv = acc.constant_value()
-            if cv is None:
-                raise E.ExprError("killing form needs parameter values")
-            K[j][k] = cv
-    return exactla.symmetric_signature(K)

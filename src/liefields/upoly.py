@@ -210,12 +210,6 @@ def matrix_value(p, M) -> List[List[Fraction]]:
     return value
 
 
-def semisimple(M) -> bool:
-    """M is diagonalizable over C: the square-free part of its
-    characteristic polynomial vanishes at M."""
-    return not any(map(any, matrix_value(square_free(char_poly(M)), M)))
-
-
 _SUPERSCRIPT = str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹")
 
 

@@ -75,7 +75,7 @@ def reference_closure(L):
             constants = [E.ZERO] * r
             for i, pc in enumerate(pivots):
                 constants[pc] = rows[i][r]
-            combo = F.zero_field(n)
+            combo = F.VectorField(n, (E.ZERO,) * n)
             for s, cs in enumerate(constants):
                 if not cs.is_zero:
                     combo = combo + (cs * L.generators[s])

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -246,6 +247,18 @@ class TestFlowAndMonodromy:
         assert code == 0
         assert out == ("None (numeric: at rest: every start in the domain moves less than "
                        f"10*tol = {ten_tol} within t_max)\n")
+
+    def test_monodromy_starts_at_rest_within_budget(self, bent_rotation_file, capsys):
+        # budget 2 s: the search gives up once eight starts were at rest, where
+        # all 160 allowed starts at 20,000 RK4 steps would take about 10 s
+        began = time.perf_counter()
+        code, out, _ = run(["monodromy", bent_rotation_file, "--gen-combo", "0,0,1",
+                            "--from", "1/2,1/2", "--t-max", "8", "--tol", "10"], capsys)
+        elapsed = time.perf_counter() - began
+        assert code == 0
+        assert out == ("None (numeric: at rest: every start in the domain moves less than "
+                       "10*tol = 100 within t_max)\n")
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
     def test_monodromy_starts_leaving_the_domain(self, tmp_path, capsys):
         # (1 + x^2)*p runs off to infinity before t_max from every start

@@ -199,26 +199,3 @@ class TestDet3:
                     - a[1] * (b[0] * c[2] - b[2] * c[0])
                     + a[2] * (b[0] * c[1] - b[1] * c[0]))
             assert got == want
-
-
-class TestSignature:
-    def test_hyperbolic_plane(self):
-        assert exactla.symmetric_signature([[0, 1], [1, 0]]) == (1, 0, 1)
-
-    def test_degenerate(self):
-        assert exactla.symmetric_signature([[1, 2], [2, 4]]) == (1, 1, 0)
-
-    def test_zero(self):
-        assert exactla.symmetric_signature([[0, 0], [0, 0]]) == (0, 2, 0)
-
-    @given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-                    min_size=3, max_size=3))
-    @settings(max_examples=60, deadline=None)
-    def test_signature_of_gram_matrix_is_nonnegative(self, rows):
-        # A^T A is positive semidefinite: no negative inertia
-        a = [[Fraction(v) for v in row] for row in rows]
-        gram = [[sum(a[k][i] * a[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        pos, zero, neg = exactla.symmetric_signature(gram)
-        assert neg == 0
-        assert pos == exactla.rank(a)

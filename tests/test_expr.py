@@ -430,11 +430,6 @@ class TestFloatInputs:
         out = I.verify_joint_invariant(L, I.InvariantCandidate(2, body), mode="numeric")
         assert out.verdict is I.Verdict.REFUTED
 
-    def test_pseudosphere_points(self, seen):
-        J = I.InvariantCandidate(2, E.parse_expression("x1*x2 + y1*y2", F.point_var_names(V2, 2)))
-        pts = I.sample_pseudosphere_points(J, [1, 1], 1, 2, seed=0, count=2, params={0: 1})
-        assert len(pts) == 2
-
     def test_truncated_complete_system_solution(self, seen):
         _, info = FL.complete_system_solve_single(F.parse_field("p + y*q", V2), 0)
         assert info["exact"] == [False]

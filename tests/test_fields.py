@@ -125,30 +125,6 @@ class TestRanks:
         assert exactla.rank(rows) == 6
 
 
-class TestTruncation:
-    def test_quadratic_with_linear_tail(self):
-        t = F.truncate_to_linear(fld("x^2*q + 2*x*r"), F.Point((0, 0, 0)))
-        assert t == fld("2*x*r")
-
-    def test_already_linear(self):
-        X = fld("x*q + r")
-        assert F.truncate_to_linear(X, F.Point((0, 0, 0))) == X
-
-    def test_mixed_with_parameter(self):
-        t = F.truncate_to_linear(
-            fld("x^2*p + 2*x*y*q + 2*(c*x + y)*r", params=["c"]), F.Point((0, 0, 0)))
-        assert t == fld("2*(c*x + y)*r", params=["c"])
-
-    def test_off_origin_base(self):
-        t = F.truncate_to_linear(fld("x^2*p", V3), F.Point((1, 0, 0)))
-        # x^2 = 1 + 2(x-1) + (x-1)^2 -> keep 1 + 2(x-1) = 2x - 1
-        assert t == fld("(2*x - 1)*p")
-
-    def test_non_polynomial_rejected(self):
-        with pytest.raises(E.NonPolynomialError):
-            F.truncate_to_linear(fld("log(x)*p"), F.Point((1, 0, 0)))
-
-
 class TestProlongations:
     def test_points_copies_blocks(self):
         pp = F.prolong_points(fld("p"), 2)
@@ -249,6 +225,25 @@ class TestFieldProperties:
         lhs = F.prolong_differentials(F.bracket(X, Y))
         rhs = F.bracket(F.prolong_differentials(X), F.prolong_differentials(Y))
         assert lhs == rhs
+
+
+class TestCombination:
+    @given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4), poly_fields(max_degree=2)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_sum_term_by_term(self, terms):
+        coeffs, fields = zip(*terms)
+        folded = F.VectorField(3, (E.ZERO,) * 3)
+        for c, X in terms:
+            folded = folded + (c * X)
+        assert F.combination(coeffs, fields) == folded
+
+    def test_expr_coefficients_and_zeros(self):
+        fields = [fld("p"), fld("x*q + r"), fld("y*p - x*r"), fld("q")]
+        c = E.param(0)
+        out = F.combination([Fraction(1, 2), c, E.ZERO, 0], fields)
+        assert out == fld("1/2*p + c*x*q + c*r", params=["c"])
+        assert F.combination([0, E.ZERO], fields[:2]) == fld("0*p")
 
 
 class TestFieldParsing:

@@ -308,6 +308,16 @@ class TestMonodromy:
         FL.return_misses(X, F.Point((1.0, 0.5)), period, 1e-6, seed=0)
         assert list(dict.fromkeys(coords for coords, _ in calls)) == starts
 
+    def test_gives_up_after_starts_at_rest(self, monkeypatch):
+        # every start moves less than 10*tol: eight starts are tried, not 160
+        X = fld("-(y + x^2)*p + (x + 2*x*y + 2*x^3)*q", V2)
+        calls = _count_steps(monkeypatch)
+        period, diag = FL.monodromy_period(X, F.Point((0.5, 0.5)), t_max=8.0, tol=10.0,
+                                           steps=100, seed=0)
+        assert period is None
+        assert [(t, d) for _, t, d in diag] == [(None, 0.0)] * 8
+        assert len(calls) == 8
+
     def test_circle_period(self):
         period, _ = FL.monodromy_period(fld("y*p - x*q", V2), F.Point((1.0, 0.5)),
                                         t_max=10.0, steps=20000, seed=3)

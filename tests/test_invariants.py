@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from liefields import algebra as A, catalog as CAT, exactla, expr as E, invariants as I
 from liefields import fields as F
@@ -111,6 +110,21 @@ class TestInfinitesimalInvariants:
         line = pres("line", ["q", "x*q", "x^2*q"])
         assert I.infinitesimal_invariant_exists(line) is True
 
+    def test_isotropy_rank_makes_no_draws(self, monkeypatch):
+        # one exact elimination over Q(x'): no random rational is drawn
+        def no_draws(rng):
+            raise AssertionError("the isotropy rank drew a random rational")
+
+        monkeypatch.setattr(F, "random_rational", no_draws)
+        thm37_1 = CAT.entry_by_id("thm37-1").presentation()
+        report = A.isotropy_at_point(thm37_1, F.Point((Fraction(1, 2), Fraction(-1, 3), 2)))
+        assert len(report.linear_isotropy) == 3
+        assert I._isotropy_row_rank(report) == 2  # below n = 3: an invariant exists
+        aff = pres("aff", ["p", "q", "x*p", "x*q", "y*p", "y*q"], vars=V2)
+        report = A.isotropy_at_point(aff, F.Point((Fraction(2, 3), -1)))
+        assert len(report.linear_isotropy) == 4
+        assert I._isotropy_row_rank(report) == 2  # rank n: none exists
+
     def test_agreement_with_prolongation_route_across_catalog(self):
         from liefields import catalog as CAT
         for entry in CAT.builtin_entries():
@@ -145,54 +159,6 @@ class TestArcLength:
         rotc = pres("rotc", ["p", "q", "y*p - x*q + c*(x*p + y*q)"], vars=V2,
                     params=["c"])
         assert I.arc_length_invariant_exists(rotc, param_values={0: Fraction(1, 2)}) is True
-
-
-class TestLieDerivative:
-    def test_translation_kills_identity(self):
-        out = I.lie_derivative_quadratic_form(F.parse_field("p", V3), I.identity_form(3))
-        assert all(c.is_zero for row in out.entries for c in row)
-
-    def test_rotation_kills_identity(self):
-        out = I.lie_derivative_quadratic_form(
-            F.parse_field("x*q - y*p", V3), I.identity_form(3))
-        assert all(c.is_zero for row in out.entries for c in row)
-
-    def test_dilation_doubles_identity(self):
-        out = I.lie_derivative_quadratic_form(
-            F.parse_field("x*p + y*q", V2), I.identity_form(2))
-        assert out.entries[0][0] == E.const(2)
-        assert out.entries[1][1] == E.const(2)
-        assert out.entries[0][1].is_zero
-
-    @given(st.integers(-3, 3), st.integers(-3, 3))
-    @settings(max_examples=20, deadline=None)
-    def test_bilinear_in_g(self, a, b):
-        X = F.parse_field("x*q - y*p + x*p", V2)
-        g1 = I.identity_form(2)
-        g2 = I.QuadraticForm(2, ((E.var(0), E.ONE), (E.ONE, E.var(1))))
-        combo = I.QuadraticForm(2, tuple(
-            tuple(E.add(E.mul(E.const(a), g1.entries[i][j]),
-                        E.mul(E.const(b), g2.entries[i][j])) for j in range(2))
-            for i in range(2)))
-        lhs = I.lie_derivative_quadratic_form(X, combo)
-        l1 = I.lie_derivative_quadratic_form(X, g1)
-        l2 = I.lie_derivative_quadratic_form(X, g2)
-        for i in range(2):
-            for j in range(2):
-                rhs = E.add(E.mul(E.const(a), l1.entries[i][j]),
-                            E.mul(E.const(b), l2.entries[i][j]))
-                assert lhs.entries[i][j] == rhs
-
-    def test_commutator_identity(self):
-        X = F.parse_field("x*q", V2)
-        Y = F.parse_field("y*p", V2)
-        g = I.QuadraticForm(2, ((E.var(1), E.var(0)), (E.var(0), E.ONE)))
-        lhs = I.lie_derivative_quadratic_form(F.bracket(X, Y), g)
-        fwd = I.lie_derivative_quadratic_form(X, I.lie_derivative_quadratic_form(Y, g))
-        bwd = I.lie_derivative_quadratic_form(Y, I.lie_derivative_quadratic_form(X, g))
-        for i in range(2):
-            for j in range(2):
-                assert lhs.entries[i][j] == E.add(fwd.entries[i][j], E.neg(bwd.entries[i][j]))
 
 
 class TestEssential:
@@ -343,13 +309,6 @@ class TestGradientRank:
 
 
 class TestPseudospheres:
-    def test_euclid_sphere_sampling(self, euclid):
-        J = cand("(x1-x2)^2 + (y1-y2)^2 + (z1-z2)^2")
-        pts = I.sample_pseudosphere_points(J, [0.0, 0.0, 0.0], 1.0, 3, seed=2, count=8)
-        assert len(pts) == 8
-        for pt in pts:
-            assert abs(sum(v * v for v in pt) - 1.0) < 1e-9
-
     def test_three_centers_cut_to_points(self, euclid):
         # triple pseudosphere intersections are generically finite: the
         # gradients of the three level functions are independent

@@ -227,29 +227,6 @@ class TestFreeMobility:
             M.free_mobility_infinitesimal(L)
 
 
-class TestKillingForm:
-    def test_rotation_algebra_negative_definite(self):
-        C = A.check_closure(pres("so3", ["x*q - y*p", "y*r - z*q", "z*p - x*r"]))
-        assert M.killing_form_signature(C) == (0, 0, 3)
-
-    def test_abelian_totally_degenerate(self):
-        C = A.check_closure(pres("tr", ["p", "q", "r"]))
-        assert M.killing_form_signature(C) == (0, 3, 0)
-
-    def test_reduced_isotropy_degenerate(self):
-        C = A.check_closure(pres("iso", ["y*p - x*q", "x*r", "y*r"]))
-        pos, zero, neg = M.killing_form_signature(C)
-        assert zero >= 1
-
-    def test_parameter_dependent_constants_at_caller_values(self):
-        g38 = pres("g38", ["p", "q", "x*p + r", "y*q + c*r",
-                           "x^2*p + 2*x*r", "y^2*q + 2*c*y*r"], params=["c"])
-        C = A.check_closure(g38)
-        sig = M.killing_form_signature(C, param_values={0: Fraction(1, 2)})
-        assert sum(sig) == 6
-        assert sig == M.killing_form_signature(C, param_values={0: Fraction(3)})
-
-
 class TestWithoutNumpy:
     def test_catalog_entries_decide_without_numpy(self):
         # free mobility of thm37-1 and the P*e^g invariants of ex90-62a and
