@@ -86,6 +86,22 @@ class TestVerifyJointInvariant:
             assert abs(after - before) < 1e-9
 
 
+TRANSITIVE_IDS = [e.id for e in CAT.builtin_entries() if e.expected.transitive]
+
+
+def sampled_row_rank(mats, n, draws=8, seed=0):
+    """Reference: the largest rank of the rows (J_k v)^T over random rational v."""
+    rng = random.Random(seed)
+    best = 0
+    for _ in range(draws):
+        v = [F.random_rational(rng) for _ in range(n)]
+        rows = [[sum((J[nu][mu].constant_value() * v[mu] for mu in range(n)), Fraction(0))
+                 for nu in range(n)] for J in mats]
+        if rows:
+            best = max(best, exactla.rank(rows))
+    return best
+
+
 class TestInfinitesimalInvariants:
     def test_group_22_has_differential_invariant(self):
         g22 = pres("g22", ["q", "x*q + r", "x^2*q + 2*x*r", "x^3*q + 3*x^2*r",
@@ -124,6 +140,19 @@ class TestInfinitesimalInvariants:
         report = A.isotropy_at_point(aff, F.Point((Fraction(2, 3), -1)))
         assert len(report.linear_isotropy) == 4
         assert I._isotropy_row_rank(report) == 2  # rank n: none exists
+
+    @pytest.mark.parametrize("entry_id", TRANSITIVE_IDS)
+    def test_exact_rank_agrees_with_sampled_rank(self, entry_id):
+        # the rank over Q(x') is the generic rank of the rows (J_k v)^T at
+        # rational v, which eight draws reach; at every parameter sample
+        entry = CAT.entry_by_id(entry_id)
+        L = entry.presentation()
+        for pv in entry.param_value_maps():
+            report = I._generic_isotropy(L, 0, pv or None)
+            exact = I._isotropy_row_rank(report)
+            assert exact == sampled_row_rank(report.linear_isotropy, L.dim), (entry_id, pv)
+            if entry.expected.infinitesimal_invariant is not None:
+                assert (exact < L.dim) == entry.expected.infinitesimal_invariant, (entry_id, pv)
 
     def test_agreement_with_prolongation_route_across_catalog(self):
         from liefields import catalog as CAT
