@@ -2,14 +2,16 @@
 
 Subcommands: bracket, closure, invariants, verify, flow, monodromy, mobility,
 catalog verify. Exit code 0 on success/pass, 1 on check failure, 2 on usage or
-parse errors. Same argv and seed give byte-identical stdout; the SEED
-environment variable overrides the default seed 0. A malformed number in an
-argument or in SEED is a usage error that names the value, and so is a
-coordinate, weight or parameter value whose float overflows."""
+parse errors, and 141 from the script when the reader closes stdout early.
+Same argv and seed give byte-identical stdout; the SEED environment variable
+overrides the default seed 0. A malformed number in an argument or in SEED is
+a usage error that names the value, and so is a coordinate, weight or
+parameter value whose float overflows."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -17,6 +19,9 @@ from fractions import Fraction
 
 from . import algebra as A, algfile, catalog as CAT, expr as E, flows as FL, invariants as I, mobility as M
 from . import fields as F
+
+
+CLOSED_PIPE = 141  # 128 + SIGPIPE: stdout was closed before the report was written
 
 
 def _fmt(x: float) -> str:
@@ -112,7 +117,10 @@ _finite_float = _checked(float, math.isfinite, "finite")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parse_args keeps its state
+    in a fresh namespace per call, and no default is mutated."""
     parser = _Parser(prog="liefields")
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the sampling seed")
@@ -175,9 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    """Run one command line and return its exit code (0, 1 or 2, see the
+    module docstring). Usage and check errors print one line to stderr;
+    stdout gets the command's report. Every call shares the one parser of
+    build_parser, so repeated in-process runs pay for it once."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
@@ -223,7 +234,7 @@ def _dispatch(args, seed: int) -> int:
                 terms = []
                 for s in range(L.order):
                     cs = C.c[j][k][s]
-                    if not cs.is_zero:
+                    if E.is_identically_zero(cs) is not E.Zeroness.YES:
                         terms.append(f"({E.to_string(cs, af.vars, af.params)})*X{s + 1}")
                 rhs = " + ".join(terms) if terms else "0"
                 print(f"[X{j + 1}, X{k + 1}] = {rhs}")
@@ -312,7 +323,16 @@ def main() -> None:
     # reports name characteristic polynomials as λ²(λ²+1)²; a stdout that
     # cannot encode them gets escapes rather than an error
     sys.stdout.reconfigure(errors="backslashreplace")
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull,
+        # so the flush at exit raises nothing either (the Python docs' note
+        # on SIGPIPE); the code is the one a shell reports for SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

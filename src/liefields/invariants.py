@@ -142,11 +142,11 @@ def infinitesimal_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
     """True iff two infinitely-near points carry an invariant: the linear
     isotropy at a generic point must have row rank < dim on the primed
     block, decided exactly over Q(x'). Intransitive algebras always
-    qualify."""
+    qualify, and so do simply transitive ones: no isotropy, rank 0."""
     if not A.is_transitive(L, seed=seed, param_values=param_values):
         return True
     report = _generic_isotropy(L, seed, param_values)
-    return bool(report.linear_isotropy) and _isotropy_row_rank(report) < L.dim
+    return _isotropy_row_rank(report) < L.dim
 
 
 def infinitesimal_invariant_exists_by_prolongation(L: A.LieAlgebraPresentation,
@@ -173,7 +173,7 @@ def arc_length_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
         raise ValueError("arc-length criterion defined for transitive algebras")
     report = _generic_isotropy(L, seed, param_values)
     mats = report.linear_isotropy
-    if not mats or _isotropy_row_rank(report) >= L.dim:
+    if _isotropy_row_rank(report) >= L.dim:
         return False
     n = L.dim
     rows = []

@@ -1,8 +1,9 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from liefields import algebra as A, catalog as CAT, exactla, expr as E
+from liefields import algebra as A, algfile, catalog as CAT, exactla, expr as E
 from liefields import fields as F
 
 
@@ -131,9 +132,74 @@ class TestOneClosureElimination:
         assert len(calls) == 1
 
 
+SHIFTED_THM37_6 = pathlib.Path(__file__).resolve().parent / "data" / "thm37-6-shifted.alg"
+
+
+class TestClosureZeroTest:
+    """A residual over Q(c) is zero when the zero test says so, not only when
+    its terms cancel syntactically."""
+
+    def test_thm37_6_in_shifted_coordinates_closes_with_its_constants(self):
+        shifted = algfile.load_algebra_file(str(SHIFTED_THM37_6)).presentation()
+        got = A.check_closure(shifted)
+        want = A.check_closure(CAT.entry_by_id("thm37-6").presentation())
+        for j in range(6):
+            for k in range(6):
+                for s in range(6):
+                    diff = E.add(got.c[j][k][s], E.neg(want.c[j][k][s]))
+                    assert E.is_identically_zero(diff) is E.Zeroness.YES, (j, k, s)
+        # some constant carries an inverted block that cancels only under the test
+        assert got.c != want.c
+        assert A.verify_structure(got)
+
+    @staticmethod
+    def zero_tests_after_elimination(monkeypatch, answer=None):
+        """Record the zero tests that check_closure makes outside its
+        elimination; answer, if given, replaces their result."""
+        inside, outside = [False], []
+        real_test, real_solve = E.is_identically_zero, exactla.solve
+
+        def solve(*args):
+            inside[0] = True
+            try:
+                return real_solve(*args)
+            finally:
+                inside[0] = False
+
+        def test(e, seed=0):
+            if inside[0]:
+                return real_test(e, seed)
+            outside.append(e)
+            return answer or real_test(e, seed)
+
+        monkeypatch.setattr(exactla, "solve", solve)
+        monkeypatch.setattr(E, "is_identically_zero", test)
+        return outside
+
+    def test_cancelled_residuals_pay_no_zero_test(self, euclid, monkeypatch):
+        outside = self.zero_tests_after_elimination(monkeypatch)
+        A.check_closure(euclid)
+        assert outside == []
+
+    def test_undecided_residual_is_an_error(self, monkeypatch):
+        outside = self.zero_tests_after_elimination(monkeypatch, E.Zeroness.UNKNOWN)
+        with pytest.raises(E.ExprError):
+            A.check_closure(pres("bad", ["p", "x*q"]))
+        assert outside
+
+
 class TestStructureVerification:
     def test_catalog_style_constants_pass(self, euclid):
         assert A.verify_structure(A.check_closure(euclid))
+
+    def test_one_relation_sum_per_unordered_triple(self, monkeypatch):
+        # C(6, 3) triples j < k < l times 6 values of t; all r^4 = 1,296 before
+        C = A.check_closure(CAT.entry_by_id("thm37-1").presentation())
+        calls = []
+        real = E.add_many
+        monkeypatch.setattr(E, "add_many", lambda terms: calls.append(1) or real(terms))
+        assert A.verify_structure(C)
+        assert len(calls) == 120
 
     def test_corrupted_antisymmetry_fails(self, euclid):
         C = A.check_closure(euclid)

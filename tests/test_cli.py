@@ -1,11 +1,14 @@
 import json
+import os
 import pathlib
+import re
+import subprocess
 import sys
 import time
 
 import pytest
 
-from liefields import cli, flows as FL
+from liefields import cli, expr as E, flows as FL
 
 
 EUCLID_ALG = """\
@@ -76,12 +79,20 @@ def bad_file(tmp_path):
 
 ALGEBRAS = pathlib.Path(__file__).resolve().parent.parent / "data" / "algebras"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv, capsys):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_process(argv, **kwargs):
+    """`python -m liefields.cli argv` in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.Popen([sys.executable, "-m", "liefields.cli", *argv], env=env, **kwargs)
 
 
 class TestBracket:
@@ -117,6 +128,30 @@ class TestClosure:
         code, out, _ = run(["closure", euclid_file], capsys)
         assert code == 0
         assert "[X1, X2] = 0" in out
+
+    @staticmethod
+    def constants(out, af):
+        """{(j, k, s): Expr} from the printed table."""
+        table = {}
+        for line in out.splitlines():
+            j, k, rhs = re.fullmatch(r"\[X(\d+), X(\d+)\] = (.*)", line).groups()
+            for text, s in re.findall(r"\((.*?)\)\*X(\d+)(?: \+ |$)", rhs):
+                table[(j, k, s)] = E.parse_expression(text, af.vars, af.params)
+        return table
+
+    def test_shifted_thm37_6_prints_its_constants(self, capsys):
+        # thm37-6 in the coordinates (x + z, y, z): the residuals and some
+        # constants carry (1 + c^2)^-1 blocks that cancel only under the zero test
+        tables = []
+        for path in (GOLDEN / "thm37-6-shifted.alg", ALGEBRAS / "thm37-6.alg"):
+            code, out, err = run(["closure", str(path)], capsys)
+            assert code == 0 and not err
+            tables.append(self.constants(out, cli.algfile.load_algebra_file(str(path))))
+        got, want = tables
+        assert got.keys() == want.keys()
+        for slot, value in want.items():
+            diff = E.add(got[slot], E.neg(value))
+            assert E.is_identically_zero(diff) is E.Zeroness.YES, slot
 
     def test_non_polynomial_coefficients_exit_2(self, non_polynomial_file, capsys):
         code, out, err = run(["closure", non_polynomial_file], capsys)
@@ -493,6 +528,47 @@ class TestCatalogCommand:
         code2, out2, _ = run(["catalog", "verify", "--entry", "thm37-9", "--seed", "3"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestOneParser:
+    def test_second_run_builds_no_parser(self, monkeypatch, capsys):
+        run(["bracket", "p", "q"], capsys)
+        built = []
+        real = cli._Parser.__init__
+        monkeypatch.setattr(cli._Parser, "__init__",
+                            lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+        assert run(["bracket", "p", "x*q"], capsys) == (0, "q\n", "")
+        assert built == []
+
+    def test_in_process_runs_match_fresh_processes(self, capsys):
+        # the shared parser keeps no state from one run to the next
+        monodromy = ["monodromy", str(ALGEBRAS / "ex94-24.alg"),
+                     "--gen-combo", "0,0,0,1,1/2,-1/2", "--from", "2/5,-3/10,1/5",
+                     "--t-max", "8", "--fix", "0,0,0", "--fix", "1,1,0"]
+        sequence = [["monodromy", "--steps", "0"], monodromy, monodromy,
+                    ["catalog", "verify", "--entry", "thm37-6", "--seed", "7"]]
+        for argv in sequence:
+            in_process = run(argv, capsys)
+            proc = fresh_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True, encoding="utf-8")
+            out, err = proc.communicate()
+            assert in_process == (proc.returncode, out, err), argv
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_ends_the_run_quietly(self):
+        # the JSON report (about 71 KB) outgrows the 64 KB pipe buffer, so the
+        # writer meets the closed pipe after the first line has been read
+        proc = fresh_process(["catalog", "verify", "--format", "json"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+        first = b""
+        while not first.endswith(b"\n"):
+            first += os.read(proc.stdout.fileno(), 1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait()
+        assert first == b"[\n"
+        assert (proc.returncode, err) == (cli.CLOSED_PIPE, b"")
 
 
 class TestSeedEnvOverride:

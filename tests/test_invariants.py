@@ -126,6 +126,14 @@ class TestInfinitesimalInvariants:
         line = pres("line", ["q", "x*q", "x^2*q"])
         assert I.infinitesimal_invariant_exists(line) is True
 
+    @pytest.mark.parametrize("gens", [["p", "q"], ["p", "x*p + q"]])
+    def test_simply_transitive_has_one(self, gens):
+        # no isotropy, so no row: rank 0 < n, and dx, dy are invariants
+        L = pres("simple", gens, vars=V2)
+        assert A.isotropy_at_point(L, F.Point((Fraction(1, 2), 3))).linear_isotropy == []
+        assert I.infinitesimal_invariant_exists(L) is True
+        assert I.infinitesimal_invariant_exists_by_prolongation(L) is True
+
     def test_isotropy_rank_makes_no_draws(self, monkeypatch):
         # one exact elimination over Q(x'): no random rational is drawn
         def no_draws(rng):
@@ -183,6 +191,11 @@ class TestArcLength:
 
     def test_euclid_passes(self, euclid):
         assert I.arc_length_invariant_exists(euclid) is True
+
+    @pytest.mark.parametrize("gens", [["p", "q"], ["p", "x*p + q"]])
+    def test_simply_transitive_passes(self, gens):
+        # the identity is no combination of an empty isotropy
+        assert I.arc_length_invariant_exists(pres("simple", gens, vars=V2)) is True
 
     def test_rotation_with_dilation_passes(self):
         rotc = pres("rotc", ["p", "q", "y*p - x*q + c*(x*p + y*q)"], vars=V2,
