@@ -90,7 +90,7 @@ def run(argv, capsys):
 
 def fresh_process(argv, **kwargs):
     """`python -m liefields.cli argv` in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONIOENCODING="utf-8", PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.Popen([sys.executable, "-m", "liefields.cli", *argv], env=env, **kwargs)
 
@@ -563,10 +563,12 @@ class TestClosedPipe:
                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
         first = b""
         while not first.endswith(b"\n"):
-            first += os.read(proc.stdout.fileno(), 1)
+            byte = os.read(proc.stdout.fileno(), 1)
+            assert byte, "stdout ended before the first line"
+            first += byte
         proc.stdout.close()
         err = proc.stderr.read()
-        proc.wait()
+        proc.wait(timeout=60)
         assert first == b"[\n"
         assert (proc.returncode, err) == (cli.CLOSED_PIPE, b"")
 
