@@ -138,15 +138,24 @@ def _rk4_kernel(X: VectorField, invariants: tuple):
     local variables, tracking the drift of each Expr in invariants:
     ``kernel(state, P, h, steps, record) -> (samples, drifts)``.
 
-    The terms come from E.numeric_source, one scope per RK4 stage over all
-    coefficients of X and one per evaluation of a tracked invariant, so a
-    power, inverted block or function node repeated in a scope is computed
-    once per stage or evaluation. The stages, the update and the sampling do
-    the float operations of the classical formula in its usual order,
-    ``s + (0.5*h)*k`` and ``s + (h/6)*(((a + 2.0*b) + 2.0*c) + d)``, and
-    ``if v > m: m = v`` keeps the drift as ``max(m, v)`` does. So results are
-    bit-identical to evaluating each coefficient with E.compile_numeric.
-    Built once per field: the cache size is a constant."""
+    Work that does not depend on the state runs once, before the loop. A
+    coefficient that reads no coordinate (it may read parameters) is
+    constant: it is computed once as ``k{i}`` in its own E.numeric_source
+    scope, with ``hk{i} = half * k{i}``, ``fk{i} = h * k{i}`` and the update
+    increment ``inc{i} = sixth * (k{i} + 2.0 * k{i} + 2.0 * k{i} + k{i})``.
+    Each step then runs one numeric_source scope per RK4 stage over the other
+    coefficients, one per evaluation of a tracked invariant, and assigns the
+    stage point ``z{i}`` only where some non-constant coefficient reads
+    coordinate i. So a power, inverted block or function node repeated in a
+    scope is computed once per stage or evaluation.
+
+    Every value is the same float operations on the same operands in the same
+    order as the classical formula, ``s + (0.5*h)*k`` and ``s + (h/6)*(((a +
+    2.0*b) + 2.0*c) + d)``; for a constant coefficient a, b, c and d are one
+    value, so only where it is computed moves. ``if v > m: m = v`` keeps the
+    drift as ``max(m, v)`` does. So results are bit-identical to evaluating
+    each coefficient with E.compile_numeric. Built once per field: the cache
+    size is a constant."""
     n = X.dim
 
     def tup(items):
@@ -154,22 +163,36 @@ def _rk4_kernel(X: VectorField, invariants: tuple):
 
     ys = [f"y{i}" for i in range(n)]
     ms = [f"m{k}" for k in range(len(invariants))]
+    const = [i for i, c in enumerate(X.coeffs) if not E.used_vars(c)]
+    moving = [i for i in range(n) if i not in const]
+    live = sorted(set().union(*(E.used_vars(X.coeffs[i]) for i in moving)))
     # one numeric_source scope per evaluation of a tracked invariant at y
     tracked = [E.numeric_source([J], "y{}") for J in invariants]
     body = [f"{tup(ys)} = state"]
     for k, (lines, [src]) in enumerate(tracked):
         body += lines + [f"j{k} = {src}"]
     body += [f"{m} = 0.0" for m in ms]
-    body += ["half = 0.5 * h", "sixth = h / 6.0", f"samples = [(0.0, {tup(ys)})]",
-             "for step in range(1, steps + 1):"]
+    body += ["half = 0.5 * h", "sixth = h / 6.0"]
+    lines, srcs = E.numeric_source([X.coeffs[i] for i in const], "y{}")
+    body += lines + [f"k{i} = {src}" for i, src in zip(const, srcs)]
+    hoisted = {"half": "hk", "h": "fk"}  # the name of scale * k{i}
+    body += [f"{name}{i} = {scale} * k{i}" for i in const if i in live
+             for scale, name in hoisted.items()]
+    body += [f"inc{i} = sixth * (k{i} + 2.0 * k{i} + 2.0 * k{i} + k{i})" for i in const]
+    body += [f"samples = [(0.0, {tup(ys)})]", "for step in range(1, steps + 1):"]
     loop = []
-    # stage k is evaluated at y (stage a) or z, then z = y + scale * k
+    # stage k is evaluated at y (stage a) or z, then z = y + scale * k; a
+    # constant coefficient's stage-b point is its stage-a point, still in z
     for k, at, scale in (("a", "y", "half"), ("b", "z", "half"), ("c", "z", "h"), ("d", "z", None)):
-        lines, srcs = E.numeric_source(X.coeffs, at + "{}")
-        loop += lines + [f"{k}{i} = {src}" for i, src in enumerate(srcs)]
+        lines, srcs = E.numeric_source([X.coeffs[i] for i in moving], at + "{}")
+        loop += lines + [f"{k}{i} = {src}" for i, src in zip(moving, srcs)]
         if scale:
-            loop += [f"z{i} = y{i} + {scale} * {k}{i}" for i in range(n)]
-    loop += [f"y{i} = y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)]
+            loop += [f"z{i} = y{i} + {scale} * {k}{i}" if i in moving else
+                     f"z{i} = y{i} + {hoisted[scale]}{i}" for i in live
+                     if i in moving or k != "b"]
+    loop += [f"y{i} = y{i} + " + (f"inc{i}" if i in const else
+                                  f"sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})")
+             for i in range(n)]
     for k, (lines, [src]) in enumerate(tracked):
         loop += lines + [f"v = abs({src} - j{k})", f"if v > m{k}:", f"    m{k} = v"]
     loop += ["if record:", f"    samples.append((step * h, {tup(ys)}))"]
@@ -213,6 +236,13 @@ def one_param_group_law_check(X: VectorField, x0, t1: float, t2: float,
 # complete systems
 
 
+def _is_zero_field(X: VectorField) -> bool:
+    """True when every coefficient is zero as a function: a bracket whose
+    terms cancel only after an inverted block does is zero too. UNKNOWN is
+    not zero, so the caller's rank test decides that bracket."""
+    return all(E.is_identically_zero(c) is E.Zeroness.YES for c in X.coeffs)
+
+
 def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
     """Prune function-dependent inputs, then adjoin brackets falling outside
     the function span until stable. Returns (completed fields, log)."""
@@ -234,7 +264,7 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
         for i in range(len(kept)):
             for j in range(i + 1, len(kept)):
                 B = F.bracket(kept[i], kept[j])
-                if B.is_zero:
+                if _is_zero_field(B):
                     continue
                 if F.generic_rank(kept + [B], seed=seed, points=12) > len(kept):
                     kept.append(B)
@@ -252,7 +282,7 @@ def completion_certificate(fields_: Sequence[VectorField], seed: int = 0) -> boo
     for i in range(len(fields_)):
         for j in range(i + 1, len(fields_)):
             B = F.bracket(fields_[i], fields_[j])
-            if B.is_zero:
+            if _is_zero_field(B):
                 continue
             if F.generic_rank(list(fields_) + [B], seed=seed, points=12) > base_rank:
                 return False
@@ -283,7 +313,7 @@ def complete_system_solve_single(X: VectorField, pivot: int, order: int = 24,
         exact = False
         for l in range(1, order + 1):
             term = F.apply_to_function(Xn, term)
-            if term.is_zero:
+            if E.is_identically_zero(term) is E.Zeroness.YES:
                 exact = True
                 break
             factorial *= l

@@ -162,6 +162,50 @@ class TestKernelBitIdentity:
             assert (traj.samples, traj.drift) == expected
 
 
+    @pytest.mark.parametrize("text, params, values", [
+        ("y*p - x*q + 2*r", (), {}),                        # mixed, integral constant
+        ("p - 3/7*q + 1/3*r", (), {}),                      # every coefficient constant
+        ("c^-1*p + x*q + (1 + c^2)^-1*r", ("c",), {0: 0.3}),  # constants read P[0]
+        ("exp(c)*p + exp(c)*x*q + y*z*r", ("c",), {0: -1.5}),  # piece shared across scopes
+        ("q + x*r", (), {}),                                # a dead stage point
+    ])
+    @pytest.mark.parametrize("t", [0.35, -0.35])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_constant_coefficients(self, text, params, values, t, record):
+        # the parameters are not substituted: the kernel reads them from
+        # x0.params, before the loop for a constant coefficient
+        X = fld(text, params=params)
+        start = F.Point((0.2, -0.1, 0.4), values)
+        tracked = {"J": E.parse_expression("x^2 + y*z", V3)}
+        expected = reference_rk4(X, start, t, 40, tracked=tracked, record=record)
+        traj = FL.numeric_flow(X, start, t, 40, tracked=tracked, record=record)
+        assert (traj.samples, traj.drift) == expected
+        assert len(traj.samples) == (41 if record else 2)
+
+    def test_constant_coefficient_computed_once(self, monkeypatch):
+        calls = []
+
+        class CountingMath:
+            def __getattr__(self, name):
+                fn = getattr(math, name)
+                return lambda *a: calls.append(name) or fn(*a)
+
+        FL._rk4_kernel.cache_clear()
+        monkeypatch.setattr(FL, "math", CountingMath())
+        X = fld("exp(c)*p + x*q", params=("c",))
+        FL.numeric_flow(X, F.Point((0.0, 0.0, 0.0), {0: 0.5}), 1.0, 50)
+        FL._rk4_kernel.cache_clear()
+        assert calls == ["exp"]
+
+    def test_failing_constant_coefficient_raises_domain_error(self):
+        X = fld("c^-1*p + x*q", params=("c",))
+        with pytest.raises(E.DomainError):
+            FL.numeric_flow(X, F.Point((0.1, 0.2, 0.3), {0: 0.0}), 1.0, 10)
+        with pytest.raises(E.DomainError):
+            FL.numeric_flow(fld("log(c)*p", params=("c",)), F.Point((0.1, 0.2, 0.3), {0: -1.0}),
+                            1.0, 10)
+
+
 def reference_flow_series(X, x0, order):
     """The recurrence that rebuilds every monomial product at each order: the
     reference _flow_series must match bit for bit."""
@@ -247,6 +291,20 @@ class TestCompleteSystems:
         assert len(done) == 1
         assert any("pruned" in s for s in log)
 
+    def test_bracket_zero_after_cancelling_a_block_needs_no_rank(self, monkeypatch):
+        # [p, X2] = -2*x^3*(1 + x^2)^-2*q + ... is zero only once the block
+        # cancels: it is skipped, not ranked
+        X2 = fld("(x^2*(1 + x^2)^-1 + (1 + x^2)^-1)*q")
+        assert not F.bracket(fld("p"), X2).is_zero
+        ranks = []
+        rank = F.generic_rank
+        monkeypatch.setattr(F, "generic_rank", lambda *a, **k: ranks.append(1) or rank(*a, **k))
+        done, log = FL.complete_system_complete([fld("p"), X2])
+        assert len(done) == 2 and not log
+        assert len(ranks) == 2  # one per input field
+        assert FL.completion_certificate(done)
+        assert len(ranks) == 3  # the base rank only
+
     def test_output_never_exceeds_dimension(self):
         done, _ = FL.complete_system_complete(
             [fld("p"), fld("q"), fld("x*r"), fld("y*r"), fld("r")])
@@ -276,6 +334,15 @@ class TestCompleteSystemSolve:
     def test_normalization_impossible(self):
         with pytest.raises(FL.NormalizationImpossible):
             FL.complete_system_solve_single(fld("q"), 0)
+
+    def test_series_ends_when_a_block_cancels(self):
+        # X^2(y) is zero only after (1 + x^2)^-1 cancels; a syntactic test
+        # ran the series to order 24 and failed the numeric check
+        sols, info = FL.complete_system_solve_single(
+            F.parse_field("(1 + x^2)*p + (1 + x^2)*q", V2), 0)
+        assert info == {"divided": True, "exact": [True]}
+        y_minus_x = E.parse_expression("y - x", V2)
+        assert E.is_identically_zero(sols[0] - y_minus_x) is E.Zeroness.YES
 
     def test_exact_division_recorded(self):
         sols, info = FL.complete_system_solve_single(fld("2*p + 2*x*r"), 0)
