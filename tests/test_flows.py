@@ -161,7 +161,6 @@ class TestKernelBitIdentity:
             traj = FL.numeric_flow(X, start, 0.4, 100, tracked=tracked, record=True)
             assert (traj.samples, traj.drift) == expected
 
-
     @pytest.mark.parametrize("text, params, values", [
         ("y*p - x*q + 2*r", (), {}),                        # mixed, integral constant
         ("p - 3/7*q + 1/3*r", (), {}),                      # every coefficient constant
