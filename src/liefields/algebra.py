@@ -4,9 +4,11 @@ joint invariant counting and the two-point determinant criterion."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import exactla, expr as E
@@ -68,13 +70,33 @@ class StructureConstants:
         return self.c[j][k][s]
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsotropyReport:
+    """All fields are tuples: a report is shared by every caller that asks
+    for the same isotropy."""
+
     base: tuple
-    combinations: list        # rows of constants(params) lambda with sum lambda_k X_k vanishing at base
-    vanishing_fields: list    # the corresponding VectorFields
-    linear_isotropy: list     # n x n Jacobian matrices at base (Expr entries), dependent ones pruned
-    reduced_basis: list       # translations + linear isotropy fields
+    combinations: tuple       # rows of constants(params) lambda with sum lambda_k X_k vanishing at base
+    vanishing_fields: tuple   # the corresponding VectorFields
+    linear_isotropy: tuple    # n x n Jacobian matrices at base (Expr entries), dependent ones pruned
+    reduced_basis: tuple      # translations + linear isotropy fields
+
+
+# The generic rank, the generic point, the isotropy and the joint-invariant
+# counts are computed once per process for each presentation, seed and
+# parameter values, in caches of this constant size. A key holds each
+# parameter value with its type, so a float never shares an entry with an
+# equal Fraction and still raises TypeError in exact evaluation.
+_CACHE_SIZE = 256
+
+
+def _values_key(param_values) -> tuple:
+    """Hashable form of index-keyed parameter values; None and {} agree."""
+    return tuple(sorted((j, type(v), v) for j, v in (param_values or {}).items()))
+
+
+def _values(key: tuple) -> dict:
+    return {j: v for j, _, v in key}
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +113,10 @@ def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     All brackets share one elimination of [A | B_12 ... B_(r-1)r]. Rows of
     monomials found only in brackets are zero in A, so they are never pivots
     and never updated: each bracket's column sees the operations of its own
-    solve."""
+    solve. A consistent solve matches every (coordinate, monomial) row
+    exactly over Q(params), so its residual is zero; only a bracket whose
+    solve is inconsistent has its residual B - sum_s c_s X_s built and
+    tested."""
     r = L.order
     key_index: dict = {}
     columns = F.coefficient_rows(L.generators, key_index)
@@ -103,12 +128,13 @@ def check_closure(L: LieAlgebraPresentation) -> StructureConstants:
     solutions = exactla.solve(matrix, [[side.get(row, E.ZERO) for row in rows] for side in sides],
                               exactla.EXPR_OPS)
     table = [[[E.ZERO] * r for _ in range(r)] for _ in range(r)]
-    for (j, k), B, (constants, _consistent) in zip(pairs, brackets, solutions):
-        residual = B - F.combination(constants, L.generators)
-        # constants from an elimination over Q(params) carry inverted blocks,
-        # whose sums cancel only under the zero test
-        if not residual.is_zero and not all(map(exactla.EXPR_OPS.is_zero, residual.coeffs)):
-            raise NotClosedError(j, k, residual)
+    for (j, k), B, (constants, consistent) in zip(pairs, brackets, solutions):
+        if not consistent:
+            residual = B - F.combination(constants, L.generators)
+            # constants from an elimination over Q(params) carry inverted
+            # blocks, whose sums cancel only under the zero test
+            if not residual.is_zero and not all(map(exactla.EXPR_OPS.is_zero, residual.coeffs)):
+                raise NotClosedError(j, k, residual)
         for s, cs in enumerate(constants):
             table[j][k][s] = cs
             table[k][j][s] = E.neg(cs)
@@ -153,27 +179,50 @@ def verify_structure(C: StructureConstants) -> bool:
 # transitivity, isotropy, reduced algebra
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
+def _generic_rank(L: LieAlgebraPresentation, seed: int, values: tuple) -> int:
+    return F.generic_rank(list(L.generators), seed=seed, param_values=_values(values))
+
+
 def is_transitive(L: LieAlgebraPresentation, seed: int = 0,
                   param_values=None) -> bool:
-    return F.generic_rank(list(L.generators), seed=seed, param_values=param_values) == L.dim
+    return _generic_rank(L, seed, _values_key(param_values)) == L.dim
 
 
 def find_generic_point(L: LieAlgebraPresentation, seed: int = 0, param_values=None):
-    """Rational point where the evaluation matrix attains the generic rank."""
-    target = F.generic_rank(list(L.generators), seed=seed, param_values=param_values)
+    """(coords, params): a rational point, as a tuple, where the evaluation
+    matrix attains the generic rank, and a new dict of the parameter values
+    there.
+
+    The candidates are the origin, then up to 60 random points, each drawn
+    when it is tried. A parameter that param_values leaves free is drawn
+    anew for each candidate, after all 60 points; only then are the points
+    drawn up front."""
+    coords, params = _generic_point(L, seed, _values_key(param_values))
+    return coords, dict(params)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _generic_point(L: LieAlgebraPresentation, seed: int, values: tuple) -> tuple:
+    target = _generic_rank(L, seed, values)
     rng = random.Random(seed ^ 0x5EED)
     pidx = F.field_params(list(L.generators))
-    candidates = [[Fraction(0)] * L.dim] + [F.sample_point(L.dim, rng) for _ in range(60)]
-    for coords in candidates:
-        params = dict(param_values or {})
-        for j in pidx:
-            params.setdefault(j, F.random_nonspecial_rational(rng))
+    pinned = _values(values)
+    free = pidx - pinned.keys()
+    points = (F.sample_point(L.dim, rng) for _ in range(60))
+    if free:
+        points = list(points)
+    for coords in itertools.chain([[Fraction(0)] * L.dim], points):
+        params = dict(pinned)
+        if free:
+            for j in pidx:
+                params.setdefault(j, F.random_nonspecial_rational(rng))
         try:
             matrix = [F.evaluate_exact_at(g, coords, params) for g in L.generators]
         except E.DomainError:
             continue
         if exactla.rank(matrix) == target:
-            return coords, params
+            return tuple(coords), tuple(params.items())
     raise F.FieldError("no generic point found")
 
 
@@ -181,9 +230,14 @@ def isotropy_at_point(L: LieAlgebraPresentation, base, param_values=None) -> Iso
     """Exact kernel basis of the evaluation map at base: all constant (in the
     parameters) combinations of the generators vanishing there."""
     base_pt = F._as_point(base)
-    coords = [Fraction(v) for v in base_pt.coords]
     pv = dict(param_values or {})
     pv.update(base_pt.params)
+    return _isotropy(L, tuple(Fraction(v) for v in base_pt.coords), _values_key(pv))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _isotropy(L: LieAlgebraPresentation, coords: tuple, values: tuple) -> IsotropyReport:
+    pv = _values(values)
     pidx = F.field_params(list(L.generators))
     missing = pidx - set(pv)
     if missing:
@@ -198,10 +252,10 @@ def isotropy_at_point(L: LieAlgebraPresentation, base, param_values=None) -> Iso
         matrix = [F.evaluate_exact_at(g, coords, pv) for g in L.generators]
         kernel = exactla.nullspace(_transpose(matrix), exactla.FRACTION_OPS)
         combos = [[E.const(v) for v in row] for row in kernel]
-    vanishing = [F.substitute_params(F.combination(row, L.generators), pv) for row in combos]
+    vanishing = tuple(F.substitute_params(F.combination(row, L.generators), pv) for row in combos)
     linear = _linear_isotropy_matrices(vanishing, coords, pv, L.dim)
-    reduced = _reduced_basis(linear, L.dim)
-    return IsotropyReport(tuple(coords), combos, vanishing, linear, reduced)
+    return IsotropyReport(coords, tuple(map(tuple, combos)), vanishing, linear,
+                          _reduced_basis(linear, L.dim))
 
 
 def _transpose(matrix):
@@ -220,8 +274,8 @@ def _linear_isotropy_matrices(vanishing: Sequence[VectorField], coords, param_va
                 if param_values:
                     d = E.substitute_params(d, param_values)
                 row.append(d)
-            J.append(row)
-        mats.append(J)
+            J.append(tuple(row))
+        mats.append(tuple(J))
     # prune linearly dependent matrices (over the parameter field)
     kept = []
     vectors = []
@@ -231,7 +285,7 @@ def _linear_isotropy_matrices(vanishing: Sequence[VectorField], coords, param_va
         if exactla.rank(trial, exactla.EXPR_OPS) == len(trial):
             kept.append(J)
             vectors.append(vec)
-    return kept
+    return tuple(kept)
 
 
 def _reduced_basis(linear_mats, n):
@@ -241,10 +295,10 @@ def _reduced_basis(linear_mats, n):
             E.add_many(E.mul(J[nu][mu], E.var(mu)) for mu in range(n) if not J[nu][mu].is_zero)
             for nu in range(n))
         out.append(VectorField(n, coeffs))
-    return out
+    return tuple(out)
 
 
-def linear_isotropy_group(L: LieAlgebraPresentation, base, param_values=None) -> list:
+def linear_isotropy_group(L: LieAlgebraPresentation, base, param_values=None) -> tuple:
     """Linear parts (Jacobians at base) of an isotropy basis, with dependent
     matrices pruned. Matrix J acts on the primed block by x' -> J x'."""
     return isotropy_at_point(L, base, param_values).linear_isotropy
@@ -280,23 +334,18 @@ def reduced_algebra(L: LieAlgebraPresentation, base, param_values=None,
 def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
                           param_values=None) -> int:
     """s*dim minus the generic rank of the point-prolonged generators, sampled
-    at jointly generic configurations (no two points sharing any coordinate).
-    The prolongation is never built: each generator is evaluated at the s
-    points of a configuration."""
+    at jointly generic configurations (no two points sharing any coordinate,
+    fields.sample_configuration). The prolongation is never built: each
+    generator is evaluated at the s points of a configuration."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    n = L.dim
+    return _joint_invariant_count(L, s, seed, _values_key(param_values))
 
-    def mutually_generic(coords):
-        for a in range(s):
-            for b in range(a + 1, s):
-                if any(coords[a * n + i] == coords[b * n + i] for i in range(n)):
-                    return False
-        return True
 
-    rank = F.generic_rank(list(L.generators), seed=seed, param_values=param_values,
-                          point_filter=mutually_generic if s > 1 else None, copies=s)
-    return s * n - rank
+@lru_cache(maxsize=_CACHE_SIZE)
+def _joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int, values: tuple) -> int:
+    rank = F.generic_rank(list(L.generators), seed=seed, param_values=_values(values), copies=s)
+    return s * L.dim - rank
 
 
 def two_point_invariant_criterion(L: LieAlgebraPresentation, seed: int = 0,

@@ -63,17 +63,6 @@ class NonPolynomialError(ExprError):
     pass
 
 
-def _fkey(factor):
-    tag = factor[0]
-    if tag == _V:
-        return (0, factor[1])
-    if tag == _P:
-        return (1, factor[1])
-    if tag == _F:
-        return (2, factor[1], factor[2].skey())
-    return (3, 0, factor[1].skey())
-
-
 def _mkey(mon):
     deg = 0
     vexps = []
@@ -83,12 +72,18 @@ def _mkey(mon):
             deg += e
             vexps.append((factor[1], -e))
         else:
-            rest.append((_fkey(factor), -e))
+            rest.append((factor, -e))
     return (-deg, tuple(vexps), tuple(rest))
 
 
 class Expr:
-    """Immutable canonical expression. Build through the module functions."""
+    """Immutable canonical expression. Build through the module functions.
+
+    Expressions are ordered by skey(), the terms with each coefficient as
+    (numerator, denominator). So the factor tuples (_V, i), (_P, j),
+    (_F, kind, Expr) and (_Q, Expr) sort natively: first by tag, then by
+    index, kind or argument. Every monomial lists its factors in that order,
+    and a canonical form's terms are sorted by _mkey."""
 
     __slots__ = ("terms", "_hash", "_skey")
 
@@ -99,10 +94,7 @@ class Expr:
 
     def skey(self):
         if self._skey is None:
-            self._skey = tuple(
-                (tuple((_fkey(f), e) for f, e in mon), (c.numerator, c.denominator))
-                for mon, c in self.terms
-            )
+            self._skey = tuple((mon, (c.numerator, c.denominator)) for mon, c in self.terms)
         return self._skey
 
     def __hash__(self):
@@ -110,6 +102,9 @@ class Expr:
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.terms == other.terms
+
+    def __lt__(self, other):
+        return self.skey() < other.skey()
 
     def __bool__(self):
         return bool(self.terms)
@@ -249,7 +244,7 @@ def _mul_monomials(m1, m2):
     overflow = []
     for f in [f for f, e in exps.items() if f[0] == _Q and e > 0]:
         overflow.append((f[1], exps.pop(f)))
-    mon = tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0])))
+    mon = tuple(sorted(exps.items()))
     return mon, overflow
 
 
@@ -287,7 +282,7 @@ def intpow(a: Expr, k: int) -> Expr:
         mon, c = a.terms[0]
         exps = {f: e * k for f, e in mon}
         # inverted blocks keep negative exponents under positive powers
-        mon2 = tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0])))
+        mon2 = tuple(sorted(exps.items()))
         return Expr(((mon2, c**k),))
     result = ONE
     base = a
@@ -310,7 +305,7 @@ def _clearing_monomial(*exprs: Expr):
             for f, ex in mon:
                 if ex < 0:
                     need[f] = max(need.get(f, 0), -ex)
-    mon = tuple(sorted(need.items(), key=lambda fe: _fkey(fe[0])))
+    mon = tuple(sorted(need.items()))
     return mon
 
 
@@ -325,7 +320,7 @@ def divide_shared_nodes(exprs: Sequence[Expr]) -> list:
                 f: min(k, nodes[f]) for f, k in shared.items() if f in nodes}
     if not shared:
         return list(exprs)
-    mon = tuple(sorted(((f, -k) for f, k in shared.items()), key=lambda fk: _fkey(fk[0])))
+    mon = tuple(sorted((f, -k) for f, k in shared.items()))
     return [mul(e, Expr(((mon, 1),))) for e in exprs]
 
 
@@ -345,7 +340,7 @@ def inverse(e: Expr) -> Expr:
         mon, c = e.terms[0]
         exps = {f: -ex for f, ex in mon}
         overflow = [(f[1], exps.pop(f)) for f in list(exps) if f[0] == _Q and exps[f] > 0]
-        mon2 = tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0])))
+        mon2 = tuple(sorted(exps.items()))
         out = Expr(((mon2, _norm(Fraction(1, c))),))
         for base, ex in overflow:
             out = mul(out, intpow(base, ex))
@@ -367,14 +362,14 @@ def inverse(e: Expr) -> Expr:
             content = {f: min(e, exps.get(f, 0)) for f, e in content.items() if exps.get(f, 0) > 0}
     content = {f: e for f, e in (content or {}).items() if e > 0}
     if content:
-        strip = Expr(((tuple(sorted(((f, -e) for f, e in content.items()), key=lambda fe: _fkey(fe[0]))), 1),))
+        strip = Expr(((tuple(sorted((f, -e) for f, e in content.items())), 1),))
         numer = mul(numer, strip)
     lead = numer.terms[0][1]
     base = Expr(tuple((m, _norm(Fraction(c, lead))) for m, c in numer.terms)) if lead != 1 else numer
     parts: dict = {(_Q, base): -1}
     for f, e in content.items():
         parts[f] = parts.get(f, 0) - e
-    mon2 = tuple(sorted(parts.items(), key=lambda fe: _fkey(fe[0])))
+    mon2 = tuple(sorted(parts.items()))
     out = Expr(((mon2, _norm(Fraction(1, lead))),))
     if denom_mon:
         out = mul(out, Expr(((denom_mon, 1),)))
@@ -438,7 +433,7 @@ def differentiate(e: Expr, v: int) -> Expr:
             else:
                 rest[factor] = ex - 1
             overflow = [(f[1], rest.pop(f)) for f in list(rest) if f[0] == _Q and rest[f] > 0]
-            mon2 = tuple(sorted(rest.items(), key=lambda fe: _fkey(fe[0])))
+            mon2 = tuple(sorted(rest.items()))
             piece = mul(Expr(((mon2, c * ex),)), df)
             for base, k in overflow:
                 piece = mul(piece, intpow(base, k))
@@ -485,7 +480,7 @@ def substitute_vars(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
                     exps[f] = k
                 else:
                     del exps[f]
-        piece = Expr(((tuple(sorted(exps.items(), key=lambda fe: _fkey(fe[0]))), c),))
+        piece = Expr(((tuple(sorted(exps.items())), c),))
         for rep in factors:
             piece = mul(piece, rep)
         pieces.append(piece)
@@ -790,48 +785,53 @@ def numeric_source(exprs: Sequence[Expr], var: str = "X[{}]",
 
 
 @lru_cache(maxsize=4096)
-def _kernel(e: Expr, exact: bool) -> Callable:
-    """``f(X, P)`` compiled from numeric_source in one flavour, its shared
-    pieces assigned to locals before the return; C holds the exact flavour's
-    coefficients."""
+def _kernel(exprs: tuple, exact: bool) -> Callable:
+    """``f(X, P)`` compiled from numeric_source in one flavour: the list of
+    the exprs' values, their shared pieces assigned to locals before the
+    return; C holds the exact flavour's coefficients."""
     consts = [] if exact else None
-    lines, [src] = numeric_source([e], "X[{}]", consts)
+    lines, srcs = numeric_source(exprs, "X[{}]", consts)
     ctx = {"math": math, "C": consts}
-    exec("def f(X, P):\n" + "".join(f"    {line}\n" for line in lines + [f"return {src}"]), ctx)
+    body = lines + [f"return [{', '.join(srcs)}]"]
+    exec("def f(X, P):\n" + "".join(f"    {line}\n" for line in body), ctx)
     return ctx["f"]
 
 
-def _run(e: Expr, exact: bool, coords, params):
+def _run(exprs: tuple, exact: bool, coords, params) -> list:
     """Evaluate one kernel, with the one error mapping of every evaluator."""
     try:
-        return _kernel(e, exact)(coords, params or {})
+        return _kernel(exprs, exact)(coords, params or {})
     except KeyError as err:
         raise ExprError(f"missing value for parameter #{err.args[0]}") from None
     except (ValueError, ZeroDivisionError, OverflowError) as err:
-        raise DomainError(f"numeric evaluation failed: {err}", e) from err
+        raise DomainError(f"numeric evaluation failed: {err}", exprs) from err
 
 
 def evaluate_numeric(e: Expr, coords, params: Mapping[int, float] | None = None) -> float:
     """Float value of e at float coordinates and parameters. Unit
     coefficients are left out of the kernel, so int inputs could give an
     int: callers convert to float first."""
-    return _run(e, False, coords, params)
+    return _run((e,), False, coords, params)[0]
 
 
-def evaluate_exact(e: Expr, coords: Sequence[Fraction], params: Mapping[int, Fraction] | None = None) -> Fraction:
-    """Exact value of e at int or Fraction coordinates and parameters, used
-    as given: a float among them raises TypeError."""
-    value = _run(e, True, coords, params)
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"exact evaluation needs int or Fraction values, got {type(value).__name__}")
-    return value
+def evaluate_exact(exprs: Sequence[Expr], coords: Sequence[Fraction],
+                   params: Mapping[int, Fraction] | None = None) -> list:
+    """Exact values of the exprs, in order, at int or Fraction coordinates
+    and parameters, used as given: a float among them raises TypeError. The
+    exprs are evaluated in one scope, so a block or power they share is
+    computed once."""
+    values = _run(tuple(exprs), True, coords, params)
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"exact evaluation needs int or Fraction values, got {type(value).__name__}")
+    return values
 
 
 def compile_numeric(e: Expr) -> Callable:
     """Float evaluator ``f(coords, params=None) -> float`` running the cached
     float kernel of e on the values as given. Domain problems raise
-    DomainError naming e as the culprit."""
-    return lambda coords, params=None: _run(e, False, coords, params)
+    DomainError naming (e,) as the culprit."""
+    return lambda coords, params=None: _run((e,), False, coords, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ def evaluate_at_point(X: VectorField, p) -> tuple:
 
 
 def evaluate_exact_at(X: VectorField, coords: Sequence[Fraction], params=None) -> list:
-    return [E.evaluate_exact(c, coords, params) for c in X.coeffs]
+    return E.evaluate_exact(X.coeffs, coords, params)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,24 @@ def sample_point(dim: int, rng: random.Random):
     return [random_rational(rng) for _ in range(dim)]
 
 
+def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
+    """The concatenated coordinates of `copies` random points, one draw per
+    coordinate, in which no two points share a value on any axis: a draw
+    that repeats an earlier point's value on its axis is raised by 1 until it
+    is new. So the loop ends for every number of points, and a configuration
+    without repeats is sample_point(copies * dim, rng)."""
+    seen = [set() for _ in range(dim)]
+    coords = []
+    for _ in range(copies):
+        for axis in seen:
+            q = random_rational(rng)
+            while q in axis:
+                q += 1
+            axis.add(q)
+            coords.append(q)
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # ranks
 
@@ -165,9 +183,10 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
     unless pinned through param_values. Deterministic for a given seed.
 
     With copies = s the fields are taken point-prolonged to s points: a
-    configuration is s points of the base space, and a row is the field
-    evaluated at each point in turn, the value of prolong_points(f, s) at the
-    concatenated coordinates."""
+    configuration is s points of the base space, no two sharing a value on
+    any axis (sample_configuration), and a row is the field evaluated at each
+    point in turn, the value of prolong_points(f, s) at the concatenated
+    coordinates."""
     if not fields:
         raise FieldError("generic_rank of empty field list")
     dim = fields[0].dim
@@ -181,7 +200,7 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
     attempts = 0
     while found < points and attempts < 200 * points:
         attempts += 1
-        coords = sample_point(copies * dim, rng)
+        coords = sample_configuration(dim, copies, rng)
         if point_filter is not None and not point_filter(coords):
             continue
         params = dict(param_values or {})

@@ -204,7 +204,7 @@ def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int
     that still holds a function node raises NonPolynomialError."""
     if any(J.s != 2 for J in pair_invariants):
         raise ValueError("pullbacks need a two-point invariant")
-    grads = [E.divide_shared_nodes([E.differentiate(J.body, v) for v in range(2 * n)])
+    grads = [tuple(E.divide_shared_nodes([E.differentiate(J.body, v) for v in range(2 * n)]))
              for J in pair_invariants]
     if any(E.contains_fn(d) for grad in grads for d in grad):
         raise E.NonPolynomialError("a pair-invariant gradient keeps a function node "
@@ -222,7 +222,7 @@ def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int
             for grad in grads:
                 for lam, mu in pairs:
                     at = coords[lam * n:(lam + 1) * n] + coords[mu * n:(mu + 1) * n]
-                    g = [E.evaluate_exact(d, at, params) for d in grad]
+                    g = E.evaluate_exact(grad, at, params)
                     row = [Fraction(0)] * nvars
                     row[lam * n:(lam + 1) * n] = g[:n]
                     row[mu * n:(mu + 1) * n] = g[n:]

@@ -287,27 +287,28 @@ class TestEvaluate:
 
     def test_exact_evaluation(self):
         e = parse("(x - y)^-2*x")
-        v = E.evaluate_exact(e, [Fraction(3), Fraction(1)])
+        [v] = E.evaluate_exact([e], [Fraction(3), Fraction(1)])
         assert v == Fraction(3, 4)
 
     def test_exact_evaluation_at_ints_divides(self):
-        v = E.evaluate_exact(parse("(x - y)^-2*x"), [3, 1])
+        [v] = E.evaluate_exact([parse("(x - y)^-2*x")], [3, 1])
         assert v == Fraction(3, 4) and type(v) is Fraction
 
     def test_exact_zero_is_fraction_zero(self):
-        v = E.evaluate_exact(E.ZERO, [])
+        [v] = E.evaluate_exact([E.ZERO], [])
         assert v == 0 and type(v) is Fraction
 
     def test_exact_evaluation_rejects_float_input(self):
         with pytest.raises(TypeError):
-            E.evaluate_exact(parse("x*y"), [1.5, Fraction(1)])
+            E.evaluate_exact([parse("x*y")], [1.5, Fraction(1)])
 
     def test_exact_evaluation_rejects_function_node(self):
         with pytest.raises(E.NonPolynomialError):
-            E.evaluate_exact(parse("x + exp(y)"), [Fraction(1), Fraction(0)])
+            E.evaluate_exact([parse("x + exp(y)")], [Fraction(1), Fraction(0)])
 
     @pytest.mark.parametrize("evaluate", [
-        E.evaluate_numeric, E.evaluate_exact, lambda e, coords: E.compile_numeric(e)(coords)],
+        E.evaluate_numeric, lambda e, coords: E.evaluate_exact([e], coords),
+        lambda e, coords: E.compile_numeric(e)(coords)],
         ids=["numeric", "exact", "compiled"])
     def test_missing_parameter_names_it(self, evaluate):
         e = E.parse_expression("c*x + d", ["x"], ["c", "d"])
@@ -337,22 +338,102 @@ class TestEvaluate:
         for got in (E.evaluate_numeric(e, coords, params), E.compile_numeric(e)(coords, params)):
             assert same_float(got, want)
 
-    @given(st.one_of(exprs(), shared_exprs()), st.lists(small_fractions, min_size=3, max_size=3))
-    @settings(max_examples=400, deadline=None)
-    def test_exact_flavour_matches_interpreter(self, e, values):
+    @given(st.lists(st.one_of(exprs(), shared_exprs()), min_size=1, max_size=3),
+           st.lists(small_fractions, min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_flavour_matches_interpreter(self, es, values):
+        """A sequence evaluates in one scope to the reference value of each
+        entry, or raises what the reference raises for some entry."""
         coords, params = values[:2], {0: values[2]}
-        if E.contains_fn(e):
+        if any(E.contains_fn(e) for e in es):
             with pytest.raises(E.NonPolynomialError):
-                E.evaluate_exact(e, coords, params)
+                E.evaluate_exact(es, coords, params)
             return
         try:
-            want = ref_evaluate_exact(e, coords, params)
+            want = [ref_evaluate_exact(e, coords, params) for e in es]
         except E.DomainError:
             with pytest.raises(E.DomainError):
-                E.evaluate_exact(e, coords, params)
+                E.evaluate_exact(es, coords, params)
             return
-        got = E.evaluate_exact(e, coords, params)
-        assert got == want and type(got) is Fraction
+        got = E.evaluate_exact(es, coords, params)
+        assert got == want and all(type(v) is Fraction for v in got)
+
+    def test_exact_sequence_raises_when_one_block_vanishes(self):
+        with pytest.raises(E.DomainError):
+            E.evaluate_exact([parse("x"), parse("(x - y)^-1"), parse("y")], [1, 1])
+
+    def test_exact_sequence_rejects_a_float_input(self):
+        with pytest.raises(TypeError):
+            E.evaluate_exact([parse("2"), parse("x + y")], [Fraction(1), 0.5])
+
+    def test_exact_sequence_of_none_and_of_constants(self):
+        assert E.evaluate_exact([], [1]) == []
+        assert E.evaluate_exact((E.ONE, E.ZERO), []) == [1, 0]
+
+
+# the keys the canonical sorts used before Expr ordered itself, kept as references
+
+
+def ref_fkey(factor):
+    tag = factor[0]
+    if tag == E._V:
+        return (0, factor[1])
+    if tag == E._P:
+        return (1, factor[1])
+    if tag == E._F:
+        return (2, factor[1], ref_skey(factor[2]))
+    return (3, 0, ref_skey(factor[1]))
+
+
+def ref_skey(e):
+    return tuple((tuple((ref_fkey(f), k) for f, k in mon), (c.numerator, c.denominator))
+                 for mon, c in e.terms)
+
+
+def ref_mkey(mon):
+    deg = 0
+    vexps, rest = [], []
+    for factor, k in mon:
+        if factor[0] == E._V:
+            deg += k
+            vexps.append((factor[1], -k))
+        else:
+            rest.append((ref_fkey(factor), -k))
+    return (-deg, tuple(vexps), tuple(rest))
+
+
+def _monomials(e):
+    """Every monomial of e and of the expressions inside its factors."""
+    for mon, _ in e.terms:
+        yield mon
+        for factor, _k in mon:
+            if factor[0] == E._F:
+                yield from _monomials(factor[2])
+            elif factor[0] == E._Q:
+                yield from _monomials(factor[1])
+
+
+class TestCanonicalOrder:
+    """Factors, monomials and expressions sort natively in the order of the
+    reference keys, so every canonical form is unchanged."""
+
+    @given(st.lists(st.one_of(exprs(), shared_exprs()), min_size=1, max_size=4), st.randoms())
+    @settings(max_examples=100, deadline=None)
+    def test_native_order_is_the_key_order(self, es, rnd):
+        mons = list({mon for e in es for mon in _monomials(e)})
+        factors = list({factor for mon in mons for factor, _k in mon})
+        pairs = list({pair for mon in mons for pair in mon})
+        everything = list(set(es) | {f[-1] for f in factors if f[0] >= E._F})
+        for items in (mons, factors, pairs, everything):
+            rnd.shuffle(items)
+        assert sorted(factors) == sorted(factors, key=ref_fkey)
+        assert sorted(pairs) == sorted(pairs, key=lambda fk: (ref_fkey(fk[0]), fk[1]))
+        assert sorted(mons, key=E._mkey) == sorted(mons, key=ref_mkey)
+        assert sorted(everything) == sorted(everything, key=ref_skey)
+        # every monomial lists its factors in native order, every form its terms by _mkey
+        assert all(list(mon) == sorted(mon) for mon in mons)
+        assert all([m for m, _ in e.terms] == sorted((m for m, _ in e.terms), key=ref_mkey)
+                   for e in everything)
 
 
 class TestSharedPieces:

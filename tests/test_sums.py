@@ -73,7 +73,7 @@ def ref_differentiate(e, v):
             else:
                 rest[factor] = ex - 1
             overflow = [(f[1], rest.pop(f)) for f in list(rest) if f[0] == _Q and rest[f] > 0]
-            mon2 = tuple(sorted(rest.items(), key=lambda fe: E._fkey(fe[0])))
+            mon2 = tuple(sorted(rest.items()))
             piece = ref_mul(Expr(((mon2, c * ex),)), df)
             for base, k in overflow:
                 piece = ref_mul(piece, E.intpow(base, k))
