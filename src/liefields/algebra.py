@@ -218,7 +218,7 @@ def _generic_point(L: LieAlgebraPresentation, seed: int, values: tuple) -> tuple
             for j in pidx:
                 params.setdefault(j, F.random_nonspecial_rational(rng))
         try:
-            matrix = [F.evaluate_exact_at(g, coords, params) for g in L.generators]
+            matrix = F.evaluate_exact_at(L.generators, coords, params)
         except E.DomainError:
             continue
         if exactla.rank(matrix) == target:
@@ -249,7 +249,7 @@ def _isotropy(L: LieAlgebraPresentation, coords: tuple, values: tuple) -> Isotro
         kernel = exactla.nullspace(_transpose(matrix), exactla.EXPR_OPS)
         combos = kernel
     else:
-        matrix = [F.evaluate_exact_at(g, coords, pv) for g in L.generators]
+        matrix = F.evaluate_exact_at(L.generators, coords, pv)
         kernel = exactla.nullspace(_transpose(matrix), exactla.FRACTION_OPS)
         combos = [[E.const(v) for v in row] for row in kernel]
     vanishing = tuple(F.substitute_params(F.combination(row, L.generators), pv) for row in combos)
@@ -314,7 +314,7 @@ def reduced_algebra(L: LieAlgebraPresentation, base, param_values=None,
     pv.update(base_pt.params)
     matrix = []
     try:
-        matrix = [F.evaluate_exact_at(g, coords, pv or None) for g in L.generators]
+        matrix = F.evaluate_exact_at(L.generators, coords, pv or None)
         rank_at_base = exactla.rank(matrix)
     except (E.DomainError, E.ExprError):
         rank_at_base = None

@@ -518,13 +518,9 @@ class VerificationReport:
 def monodromy_generator(L: A.LieAlgebraPresentation, fix_points: Sequence[Sequence[Fraction]],
                         param_values=None):
     """Kernel combination of the generators vanishing at every fix point."""
-    rows = []
-    for g in L.generators:
-        row = []
-        for pt in fix_points:
-            row.extend(F.evaluate_exact_at(g, [Fraction(v) for v in pt], param_values))
-        rows.append(row)
-    kernel = exactla.nullspace([list(col) for col in zip(*rows)])
+    at_points = [F.evaluate_exact_at(L.generators, [Fraction(v) for v in pt], param_values)
+                 for pt in fix_points]
+    kernel = exactla.nullspace([list(col) for rows in at_points for col in zip(*rows)])
     return [(vec, F.substitute_params(F.combination(vec, L.generators), param_values))
             for vec in kernel]
 

@@ -118,8 +118,13 @@ def evaluate_at_point(X: VectorField, p) -> tuple:
     return tuple(E.evaluate_numeric(c, [float(v) for v in p.coords], params) for c in X.coeffs)
 
 
-def evaluate_exact_at(X: VectorField, coords: Sequence[Fraction], params=None) -> list:
-    return E.evaluate_exact(X.coeffs, coords, params)
+def evaluate_exact_at(fields: Sequence[VectorField], coords: Sequence[Fraction],
+                      params=None) -> list:
+    """The exact value of each field at coords, one row per field, from one
+    kernel over all their coefficients."""
+    values = E.evaluate_exact([c for X in fields for c in X.coeffs], coords, params)
+    n = fields[0].dim if fields else 0
+    return [values[k:k + n] for k in range(0, len(values), n)]
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +211,13 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         params = dict(param_values or {})
         for j in pidx:
             params.setdefault(j, random_nonspecial_rational(rng))
-        blocks = [coords[b * dim:(b + 1) * dim] for b in range(copies)]
         try:
-            matrix = [[v for x in blocks for v in evaluate_exact_at(f, x, params)]
-                      for f in fields]
+            at_points = [evaluate_exact_at(fields, coords[b * dim:(b + 1) * dim], params)
+                         for b in range(copies)]
         except E.DomainError:
             continue
         found += 1
+        matrix = [[v for rows in at_points for v in rows[k]] for k in range(len(fields))]
         best = max(best, exactla.rank(matrix))
         if best == ceiling:
             break

@@ -208,8 +208,8 @@ def _ad_matrix(constants, vec, pv):
 
 def _fixed_in_open_orbit(L, X, p, pv) -> bool:
     """X vanishes at p and the generators span the tangent space there."""
-    return (not any(F.evaluate_exact_at(X, p))
-            and exactla.rank([F.evaluate_exact_at(g, p, pv) for g in L.generators]) == L.dim)
+    return (not any(F.evaluate_exact_at([X], p)[0])
+            and exactla.rank(F.evaluate_exact_at(L.generators, p, pv)) == L.dim)
 
 
 # ---------------------------------------------------------------------------

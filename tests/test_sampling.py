@@ -34,7 +34,7 @@ def ref_find_generic_point(L, seed, param_values):
         for j in pidx:
             params.setdefault(j, F.random_nonspecial_rational(rng))
         try:
-            matrix = [F.evaluate_exact_at(g, coords, params) for g in L.generators]
+            matrix = [E.evaluate_exact(g.coeffs, coords, params) for g in L.generators]
         except E.DomainError:
             continue
         if exactla.rank(matrix) == target:
