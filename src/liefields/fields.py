@@ -124,7 +124,7 @@ def evaluate_exact_at(fields: Sequence[VectorField], coords: Sequence[Fraction],
     kernel over all their coefficients."""
     values = E.evaluate_exact([c for X in fields for c in X.coeffs], coords, params)
     n = fields[0].dim if fields else 0
-    return [values[k:k + n] for k in range(0, len(values), n)]
+    return [values[k * n:(k + 1) * n] for k in range(len(fields))]
 
 
 # ---------------------------------------------------------------------------

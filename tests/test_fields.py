@@ -64,6 +64,16 @@ class TestEvaluation:
         assert F.substitute_params(X, {}) is X
         assert F.substitute_params(X, None) is X
 
+    def test_exact_rows_one_per_field(self):
+        fields = [fld("p"), fld("x*q + c*r", params=["c"]), fld("(x - y)^-1*p")]
+        point = [Fraction(3), Fraction(1, 2), 0]
+        assert F.evaluate_exact_at(fields, point, {0: Fraction(2)}) == [
+            [1, 0, 0], [0, 3, 2], [Fraction(2, 5), 0, 0]]
+        assert F.evaluate_exact_at(fields[:1], point) == [[1, 0, 0]]
+        assert F.evaluate_exact_at([], point) == []
+        with pytest.raises(E.DomainError):
+            F.evaluate_exact_at(fields, [1, 1, 0], {0: Fraction(2)})
+
 
 EUCLID = ["p", "q", "r", "x*q - y*p", "y*r - z*q", "z*p - x*r"]
 
