@@ -4,6 +4,7 @@ differentials)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,14 +165,16 @@ def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
     that repeats an earlier point's value on its axis is raised by 1 until it
     is new. So the loop ends for every number of points, and a configuration
     without repeats is sample_point(copies * dim, rng)."""
-    seen = [set() for _ in range(dim)]
+    seen = [set() for _ in range(dim)]  # integer ratios: a Fraction hashes slowly
     coords = []
     for _ in range(copies):
         for axis in seen:
             q = random_rational(rng)
-            while q in axis:
+            key = q.as_integer_ratio()
+            while key in axis:
                 q += 1
-            axis.add(q)
+                key = q.as_integer_ratio()
+            axis.add(key)
             coords.append(q)
     return coords
 
@@ -217,7 +220,7 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         except E.DomainError:
             continue
         found += 1
-        matrix = [[v for rows in at_points for v in rows[k]] for k in range(len(fields))]
+        matrix = [list(itertools.chain.from_iterable(rows)) for rows in zip(*at_points)]
         best = max(best, exactla.rank(matrix))
         if best == ceiling:
             break
