@@ -176,8 +176,8 @@ class TestConfigurations:
         assert len(set(coords)) == 11_700
 
     def test_many_points_get_their_count_in_bounded_time(self, capsys):
-        # 3*140 - 6 invariants; rejecting every configuration with a repeated
-        # value made this exit 2 after 1,600 configurations of 420 draws
+        # 3*140 - 6 invariants; nearly every configuration of 140 random points
+        # repeats some value on some axis, so repeats must be mended, not rejected
         start = time.perf_counter()
         code = cli.run(["invariants", str(FIXTURES / "thm37-1.alg"), "--points", "140"])
         elapsed = time.perf_counter() - start
