@@ -171,10 +171,10 @@ def _norm(c):
 
 
 def _make(term_map: dict) -> Expr:
-    terms = [(m, _norm(c)) for m, c in term_map.items() if c]
-    if len(terms) > 1:  # most results have one term or none
-        terms.sort(key=lambda t: _mkey(t[0]))
-    return Expr(tuple(terms))
+    terms = tuple(
+        sorted(((m, _norm(c)) for m, c in term_map.items() if c), key=lambda t: _mkey(t[0]))
+    )
+    return Expr(terms)
 
 
 ZERO = Expr(())
@@ -649,8 +649,6 @@ def is_identically_zero(e: Expr, seed: int = 0) -> Zeroness:
     When function nodes survive, 64 random rational evaluations all vanishing
     gives UNKNOWN; a nonvanishing sample gives NO.
     """
-    if not e.terms:
-        return Zeroness.YES  # most cells an elimination tests are the zero expression
     [cleared] = clear_denominators(e)
     if cleared.is_zero:
         return Zeroness.YES

@@ -338,10 +338,19 @@ class TestEvaluate:
         for got in (E.evaluate_numeric(e, coords, params), E.compile_numeric(e)(coords, params)):
             assert same_float(got, want)
 
-    @given(st.lists(st.one_of(exprs(), shared_exprs()), min_size=1, max_size=3),
+    @given(st.one_of(exprs(), shared_exprs()), st.lists(small_fractions, min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_exact_flavour_matches_interpreter(self, e, values):
+        self.check_exact_sequence([e], values)
+
+    @given(st.lists(st.one_of(exprs(), shared_exprs()), min_size=2, max_size=3),
            st.lists(small_fractions, min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None)
-    def test_exact_flavour_matches_interpreter(self, es, values):
+    def test_exact_sequence_matches_interpreter(self, es, values):
+        self.check_exact_sequence(es, values)
+
+    @staticmethod
+    def check_exact_sequence(es, values):
         """A sequence evaluates in one scope to the reference value of each
         entry, or raises what the reference raises for some entry."""
         coords, params = values[:2], {0: values[2]}

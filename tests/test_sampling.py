@@ -5,7 +5,6 @@ configurations with distinct values on every axis."""
 import dataclasses
 import pathlib
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -70,7 +69,6 @@ PINNED = [(entry.presentation(), pv) for entry in sorted(CAT.builtin_entries(), 
 class TestDraws:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pinned_parameters_draw_only_the_candidates_tried(self, seed, monkeypatch):
-        clear_caches()
         tried_beyond_origin = 0
         for L, pv in PINNED:
             want_coords, want_params, k = ref_find_generic_point(L, seed, pv or None)
@@ -114,7 +112,6 @@ class TestDraws:
 
 class TestCaches:
     def test_catalog_does_not_depend_on_what_was_cached(self):
-        clear_caches()
         ids = sorted(e.id for e in CAT.builtin_entries())
         whole = CAT.export_report(CAT.verify_catalog(seed=0), "json")
         reverse = {eid: CAT.verify_catalog(seed=0, entry_id=eid)[0] for eid in reversed(ids)}
@@ -175,11 +172,11 @@ class TestConfigurations:
         coords = F.sample_configuration(1, 11_700, random.Random(0))
         assert len(set(coords)) == 11_700
 
-    def test_many_points_get_their_count_in_bounded_time(self, capsys):
+    def test_many_points_get_their_count_in_bounded_work(self, capsys, monkeypatch):
         # 3*140 - 6 invariants; nearly every configuration of 140 random points
-        # repeats some value on some axis, so repeats must be mended, not rejected
-        start = time.perf_counter()
+        # repeats some value on some axis, so repeats must be mended, not rejected.
+        # Budget: the 8 configurations of one rank, one draw per coordinate each
+        count = counting_draws(monkeypatch)
         code = cli.run(["invariants", str(FIXTURES / "thm37-1.alg"), "--points", "140"])
-        elapsed = time.perf_counter() - start
         assert (code, capsys.readouterr().out) == (0, "414\n")
-        assert elapsed < 3.0, f"{elapsed:.2f} s, budget 3 s"
+        assert count[0] <= 8 * 140 * 3
