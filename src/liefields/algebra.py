@@ -190,7 +190,7 @@ def is_transitive(L: LieAlgebraPresentation, seed: int = 0,
 
 
 def find_generic_point(L: LieAlgebraPresentation, seed: int = 0, param_values=None):
-    """(coords, params): a rational point, as a tuple, where the evaluation
+    """(coords, params): an integer point, as a tuple, where the evaluation
     matrix attains the generic rank, and a new dict of the parameter values
     there.
 
@@ -208,15 +208,11 @@ def _generic_point(L: LieAlgebraPresentation, seed: int, values: tuple) -> tuple
     rng = random.Random(seed ^ 0x5EED)
     pidx = F.field_params(list(L.generators))
     pinned = _values(values)
-    free = pidx - pinned.keys()
     points = (F.sample_point(L.dim, rng) for _ in range(60))
-    if free:
+    if pidx - pinned.keys():
         points = list(points)
-    for coords in itertools.chain([[Fraction(0)] * L.dim], points):
-        params = dict(pinned)
-        if free:
-            for j in pidx:
-                params.setdefault(j, F.random_nonspecial_rational(rng))
+    for coords in itertools.chain([[0] * L.dim], points):
+        params = F.draw_free_params(pidx, pinned, rng)
         try:
             matrix = F.evaluate_exact_at(L.generators, coords, params)
         except E.DomainError:
@@ -333,10 +329,21 @@ def reduced_algebra(L: LieAlgebraPresentation, base, param_values=None,
 
 def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
                           param_values=None) -> int:
-    """s*dim minus the generic rank of the point-prolonged generators, sampled
-    at jointly generic configurations (no two points sharing any coordinate,
-    fields.sample_configuration). The prolongation is never built: each
-    generator is evaluated at the s points of a configuration."""
+    """s*dim minus the generic rank of the generators prolonged to s points.
+
+    Two points of a transitive algebra: the rank is exact, with no draws. At
+    the generic point x0 the rank n is certified, so at (x0, y) the two-point
+    rank is n plus the rank over Q(y) of the isotropy fields at x0, and the
+    count is n minus that rank: one elimination over Q(y) of the isotropy
+    that two_point_invariant_criterion reads too. The rank over Q(y) is
+    constant on each orbit, and the orbit of x0 is open, so the choice of x0
+    does not matter (Lie-Engel, Chap. 2.5).
+
+    Otherwise the rank is sampled at jointly generic configurations (no two
+    points sharing any coordinate, fields.sample_configuration), without
+    building the prolongation: each generator is evaluated at the s points of
+    a configuration. At s >= 3 on the catalog it reaches its ceiling, which
+    certifies it."""
     if s < 1:
         raise ValueError("s must be >= 1")
     return _joint_invariant_count(L, s, seed, _values_key(param_values))
@@ -344,6 +351,10 @@ def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int, values: tuple) -> int:
+    if s == 2 and _generic_rank(L, seed, values) == L.dim:
+        coords, params = find_generic_point(L, seed=seed, param_values=_values(values))
+        report = isotropy_at_point(L, F.Point(coords), params)
+        return L.dim - exactla.rank([X.coeffs for X in report.vanishing_fields], exactla.EXPR_OPS)
     rank = F.generic_rank(list(L.generators), seed=seed, param_values=_values(values), copies=s)
     return s * L.dim - rank
 

@@ -707,11 +707,13 @@ def numeric_source(exprs: Sequence[Expr], var: str = "X[{}]",
     ``1.0*y*z``, ``-y*z`` for ``-1.0*y*z``: for a float y, ``1.0*y`` is y and
     ``-1.0*y`` is -y, bit for bit), so the inputs must be floats; function
     nodes call ``math``, which must be in scope. Exact flavour: each
-    coefficient is appended to consts as a Fraction and spelled ``C[k]``, a
-    negative power divides, so int and Fraction inputs give a Fraction; a
-    function node raises NonPolynomialError. An int coefficient is hoisted as
-    a Fraction too: ``C[k]/X[0]`` on int inputs would otherwise be a float,
-    and an all-int product an int."""
+    coefficient is appended to consts and spelled ``C[k]``, and a negative
+    power divides; a function node raises NonPolynomialError. A term that
+    divides holds its coefficient as a Fraction, so ``C[k]/X[0]`` is a
+    Fraction on int inputs, never a float. A term that divides by nothing
+    keeps the coefficient as stored, an int when integral: on int inputs a
+    polynomial is then pure int arithmetic. So int and Fraction inputs give
+    an int or a Fraction, never a float."""
     exact = consts is not None
     counts: dict = {}
     names: dict = {}
@@ -771,7 +773,7 @@ def numeric_source(exprs: Sequence[Expr], var: str = "X[{}]",
                 b = base(factor) if key[1] == 1 else piece(key, lambda: f"({base(factor)})**{key[1]}")
                 factors += ("/" if exact and k < 0 else "*") + b
             if exact:
-                consts.append(Fraction(c))
+                consts.append(Fraction(c) if any(k < 0 for _, k in mon) else c)
                 parts.append(f"C[{len(consts) - 1}]" + factors)
             elif mon and abs(c) == 1:
                 parts.append(("-" if c < 0 else "") + factors[1:])
@@ -817,9 +819,10 @@ def evaluate_numeric(e: Expr, coords, params: Mapping[int, float] | None = None)
 def evaluate_exact(exprs: Sequence[Expr], coords: Sequence[Fraction],
                    params: Mapping[int, Fraction] | None = None) -> list:
     """Exact values of the exprs, in order, at int or Fraction coordinates
-    and parameters, used as given: a float among them raises TypeError. The
-    exprs are evaluated in one scope, so a block or power they share is
-    computed once."""
+    and parameters, used as given: a float among them raises TypeError. Each
+    value is an int or a Fraction, never a float (see numeric_source): a
+    polynomial at int inputs gives an int. The exprs are evaluated in one
+    scope, so a block or power they share is computed once."""
     values = _run(tuple(exprs), True, coords, params)
     for value in values:
         if not isinstance(value, (int, Fraction)):

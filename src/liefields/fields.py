@@ -129,9 +129,15 @@ def evaluate_exact_at(fields: Sequence[VectorField], coords: Sequence[Fraction],
 
 
 # ---------------------------------------------------------------------------
-# random rational sampling
+# random sampling
 
 _SPAN = 97
+
+
+def random_coordinate(rng: random.Random) -> int:
+    """A sampled coordinate: an integer in [-97, 97]. Polynomial fields then
+    evaluate in int arithmetic, and exact ranks run on int rows."""
+    return rng.randint(-_SPAN, _SPAN)
 
 
 def random_rational(rng: random.Random) -> Fraction:
@@ -155,8 +161,18 @@ def field_params(fields: Sequence[VectorField]) -> set:
     return out
 
 
-def sample_point(dim: int, rng: random.Random):
-    return [random_rational(rng) for _ in range(dim)]
+def draw_free_params(pidx, pinned, rng: random.Random) -> dict:
+    """The pinned parameter values, plus a random non-special rational for
+    each parameter index in pidx that they leave free, drawn in index order.
+    A pinned parameter costs no draw."""
+    params = dict(pinned or {})
+    for j in sorted(pidx - params.keys()):
+        params[j] = random_nonspecial_rational(rng)
+    return params
+
+
+def sample_point(dim: int, rng: random.Random) -> list:
+    return [random_coordinate(rng) for _ in range(dim)]
 
 
 def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
@@ -164,17 +180,23 @@ def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
     coordinate, in which no two points share a value on any axis: a draw
     that repeats an earlier point's value on its axis is raised by 1 until it
     is new. So the loop ends for every number of points, and a configuration
-    without repeats is sample_point(copies * dim, rng)."""
-    seen = [set() for _ in range(dim)]  # integer ratios: a Fraction hashes slowly
+    without repeats is sample_point(copies * dim, rng).
+
+    Each axis maps a taken value v to a value w > v with all of [v, w) taken;
+    the walk from a draw shortens that path, so many more points than the
+    195 values of the span cost no quadratic walk."""
+    axes = [{} for _ in range(dim)]
     coords = []
     for _ in range(copies):
-        for axis in seen:
-            q = random_rational(rng)
-            key = q.as_integer_ratio()
-            while key in axis:
-                q += 1
-                key = q.as_integer_ratio()
-            axis.add(key)
+        for taken in axes:
+            q = random_coordinate(rng)
+            path = []
+            while q in taken:
+                path.append(q)
+                q = taken[q]
+            for v in path:
+                taken[v] = q
+            taken[q] = q + 1
             coords.append(q)
     return coords
 
@@ -187,8 +209,11 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
                  param_values: Mapping[int, Fraction] | None = None,
                  point_filter=None, copies: int = 1) -> int:
     """Maximum exact rank of the coefficient matrix over `points` random
-    rational points. Parameters are sampled as random non-special rationals
-    unless pinned through param_values. Deterministic for a given seed.
+    integer points (sample_configuration). A parameter that param_values
+    leaves free is drawn as a random non-special rational at each point; a
+    pinned one costs no draw. Deterministic for a given seed. The rank is
+    sampled: a point proves rank >= the value found, and only a value at
+    min(len(fields), copies * dim) is certified.
 
     With copies = s the fields are taken point-prolonged to s points: a
     configuration is s points of the base space, no two sharing a value on
@@ -211,9 +236,7 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
         coords = sample_configuration(dim, copies, rng)
         if point_filter is not None and not point_filter(coords):
             continue
-        params = dict(param_values or {})
-        for j in pidx:
-            params.setdefault(j, random_nonspecial_rational(rng))
+        params = draw_free_params(pidx, param_values, rng)
         try:
             at_points = [evaluate_exact_at(fields, coords[b * dim:(b + 1) * dim], params)
                          for b in range(copies)]

@@ -192,7 +192,7 @@ def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int
                    seed: int, params=None) -> int:
     """Number of functionally independent pullbacks of the pair invariants to
     s points: the largest exact rank of their gradient matrix at up to 8
-    random rational configurations. Sampling stops once the rank reaches
+    random integer configurations. Sampling stops once the rank reaches
     min(rows, cols), which no further configuration can exceed.
 
     The pullback of J to points (lam, mu) has J's gradient in blocks lam and
@@ -216,14 +216,14 @@ def _gradient_rank(pair_invariants: Sequence[InvariantCandidate], n: int, s: int
     best = configs = attempts = 0
     while configs < 8 and attempts < 400:
         attempts += 1
-        coords = [F.random_rational(rng) for _ in range(nvars)]
+        coords = F.sample_point(nvars, rng)
         matrix = []
         try:
             for grad in grads:
                 for lam, mu in pairs:
                     at = coords[lam * n:(lam + 1) * n] + coords[mu * n:(mu + 1) * n]
                     g = E.evaluate_exact(grad, at, params)
-                    row = [Fraction(0)] * nvars
+                    row = [0] * nvars
                     row[lam * n:(lam + 1) * n] = g[:n]
                     row[mu * n:(mu + 1) * n] = g[n:]
                     matrix.append(row)

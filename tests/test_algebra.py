@@ -432,7 +432,9 @@ def ref_joint_invariant_count(L, s, seed, param_values, monkeypatch):
 
 class TestPerPointCount:
     """Evaluating the base generators at each point of a configuration draws
-    the same numbers as evaluating the built prolongation there."""
+    the same numbers as evaluating the built prolongation there. Two points of
+    a transitive sample are counted exactly, with no draws; the sampled rank
+    of the prolongation is their reference."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_matches_prolongation_across_catalog(self, seed, monkeypatch):
@@ -453,6 +455,66 @@ class TestPerPointCount:
 
         monkeypatch.setattr(F, "prolong_points", refuse)
         assert A.joint_invariant_count(euclid, 3) == 3
+
+
+def catalog_samples():
+    """Every (entry, parameter values) at which catalog verify runs a check:
+    the sweep and the boundary cases."""
+    for entry in sorted(CAT.builtin_entries(), key=lambda e: e.id):
+        L = entry.presentation()
+        for pv in entry.param_value_maps():
+            yield entry.id, L, pv or None
+        for case in entry.boundary:
+            yield entry.id, L, {entry.params.index(k): v for k, v in case.param_values.items()}
+
+
+def sampled_pair_count(L, seed, param_values):
+    """Reference: the sampled two-point count, 2*dim minus the largest rank of
+    the generators at up to 8 configurations of two points."""
+    return 2 * L.dim - F.generic_rank(list(L.generators), seed=seed,
+                                      param_values=param_values, copies=2)
+
+
+class TestPairCountFromIsotropy:
+    """On a transitive sample the two-point count is dim minus the rank over
+    Q(y) of the isotropy fields at the generic point: exact, with no draws."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2])
+    def test_equals_the_sampled_count_and_draws_no_pair(self, seed, monkeypatch):
+        real = F.sample_configuration
+
+        def no_pairs(dim, copies, rng):
+            assert copies != 2, "a two-point configuration was drawn"
+            return real(dim, copies, rng)
+
+        cases = 0
+        for eid, L, pv in catalog_samples():
+            if not A.is_transitive(L, seed=seed, param_values=pv):
+                continue
+            with monkeypatch.context() as m:
+                m.setattr(F, "sample_configuration", no_pairs)
+                count = A.joint_invariant_count(L, 2, seed=seed, param_values=pv)
+            assert count == sampled_pair_count(L, seed, pv), (eid, pv)
+            cases += 1
+        assert cases == 56
+
+    def test_a_degenerate_sampler_leaves_the_count(self, monkeypatch):
+        # both points equal: a sampled rank would stop at dim, and the count read dim
+        def same_point_twice(dim, copies, rng):
+            point = F.sample_point(dim, rng)
+            return point * copies
+
+        L = CAT.entry_by_id("thm37-1").presentation()
+        monkeypatch.setattr(F, "sample_configuration", same_point_twice)
+        assert 2 * L.dim - F.generic_rank(list(L.generators), copies=2) == L.dim
+        assert A.joint_invariant_count(L, 2) == 1
+
+    def test_the_isotropy_is_shared_with_the_criterion(self):
+        L = CAT.entry_by_id("thm37-1").presentation()
+        A.joint_invariant_count(L, 2)
+        misses = A._isotropy.cache_info().misses
+        assert A.two_point_invariant_criterion(L) is True
+        assert A._isotropy.cache_info().misses == misses
 
 
 class TestTwoPointCriterion:

@@ -601,3 +601,14 @@ class TestEndToEnd:
         lines = [l for l in out.splitlines() if ": pass" in l and "[seed 2]" in l]
         assert len(lines) >= 24
         assert out == (GOLDEN / "catalog_seed2.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("seed, fmt, golden", [
+        ("0", "text", "catalog_seed0.txt"),
+        ("7", "text", "catalog_seed7.txt"),
+        ("0", "json", "catalog_seed0.json"),
+    ])
+    def test_catalog_report_is_byte_identical(self, seed, fmt, golden, capsys):
+        # a change to how ranks are sampled or decided leaves every report byte alone
+        code, out, _ = run(["catalog", "verify", "--seed", seed, "--format", fmt], capsys)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -160,6 +160,10 @@ def exprs():
     return st.recursive(leaves, extend, max_leaves=8)
 
 
+# built once: a composite strategy that called exprs() per draw would build a
+# new recursive strategy for every example
+EXPRS = exprs()
+
 UNIT_HEAVY_COEFFS = [1, -1, 1, -1, 2, Fraction(-1, 3)]
 
 
@@ -168,9 +172,9 @@ def shared_exprs(draw):
     """Sums whose terms reuse one inverted block and one function node, most
     with coefficient 1 or -1: the pieces the kernels share, and the unit
     coefficients the float flavour leaves out, occur in nearly every draw."""
-    base = E.add(draw(exprs()), E.mul(E.var(0), E.var(1)))
+    base = E.add(draw(EXPRS), E.mul(E.var(0), E.var(1)))
     block = E.ONE if base.is_zero else E.inverse(base)
-    node = E.fn(draw(st.sampled_from([E.LOG, E.EXP, E.ATAN, E.SQRT])), draw(exprs()))
+    node = E.fn(draw(st.sampled_from([E.LOG, E.EXP, E.ATAN, E.SQRT])), draw(EXPRS))
     pieces = []
     for c, a, b, k, j in draw(st.lists(st.tuples(
             st.sampled_from(UNIT_HEAVY_COEFFS), st.integers(0, 2), st.integers(0, 2),
@@ -294,6 +298,10 @@ class TestEvaluate:
         [v] = E.evaluate_exact([parse("(x - y)^-2*x")], [3, 1])
         assert v == Fraction(3, 4) and type(v) is Fraction
 
+    def test_exact_polynomial_at_ints_is_an_int(self):
+        [v, w] = E.evaluate_exact([parse("x^2*y - 3*x + 1"), parse("1/2*x*y")], [2, -1])
+        assert (v, type(v)) == (-9, int) and (w, type(w)) == (-1, Fraction)
+
     def test_exact_zero_is_fraction_zero(self):
         [v] = E.evaluate_exact([E.ZERO], [])
         assert v == 0 and type(v) is Fraction
@@ -349,6 +357,12 @@ class TestEvaluate:
     def test_exact_sequence_matches_interpreter(self, es, values):
         self.check_exact_sequence(es, values)
 
+    @given(st.one_of(EXPRS, shared_exprs()), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_flavour_at_ints_matches_interpreter(self, e, values):
+        # sampled points are ints: a term that divides must still give a Fraction
+        self.check_exact_sequence([e], values)
+
     @staticmethod
     def check_exact_sequence(es, values):
         """A sequence evaluates in one scope to the reference value of each
@@ -365,7 +379,8 @@ class TestEvaluate:
                 E.evaluate_exact(es, coords, params)
             return
         got = E.evaluate_exact(es, coords, params)
-        assert got == want and all(type(v) is Fraction for v in got)
+        # exact values are ints or Fractions, never floats, as Expr coefficients are
+        assert got == want and all(type(v) in (int, Fraction) for v in got)
 
     def test_exact_sequence_raises_when_one_block_vanishes(self):
         with pytest.raises(E.DomainError):

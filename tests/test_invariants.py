@@ -135,11 +135,12 @@ class TestInfinitesimalInvariants:
         assert I.infinitesimal_invariant_exists_by_prolongation(L) is True
 
     def test_isotropy_rank_makes_no_draws(self, monkeypatch):
-        # one exact elimination over Q(x'): no random rational is drawn
+        # one exact elimination over Q(x'): nothing is drawn
         def no_draws(rng):
-            raise AssertionError("the isotropy rank drew a random rational")
+            raise AssertionError("the isotropy rank drew a random number")
 
         monkeypatch.setattr(F, "random_rational", no_draws)
+        monkeypatch.setattr(F, "random_coordinate", no_draws)
         thm37_1 = CAT.entry_by_id("thm37-1").presentation()
         report = A.isotropy_at_point(thm37_1, F.Point((Fraction(1, 2), Fraction(-1, 3), 2)))
         assert len(report.linear_isotropy) == 3
@@ -239,7 +240,7 @@ def full_gradient_rank(bodies, nvars, seed, params=None):
     while configs < 8 and attempts < 400:
         attempts += 1
         if exact:
-            coords = [F.random_rational(rng) for _ in range(nvars)]
+            coords = F.sample_point(nvars, rng)
             try:
                 matrix = [E.evaluate_exact(row, coords, params) for row in grads]
             except (E.DomainError, E.NonPolynomialError):

@@ -27,11 +27,11 @@ def ref_find_generic_point(L, seed, param_values):
     target = F.generic_rank(list(L.generators), seed=seed, param_values=param_values)
     rng = random.Random(seed ^ 0x5EED)
     pidx = F.field_params(list(L.generators))
-    candidates = [[Fraction(0)] * L.dim] + [F.sample_point(L.dim, rng) for _ in range(60)]
+    candidates = [[0] * L.dim] + [F.sample_point(L.dim, rng) for _ in range(60)]
     for k, coords in enumerate(candidates):
         params = dict(param_values or {})
-        for j in pidx:
-            params.setdefault(j, F.random_nonspecial_rational(rng))
+        for j in sorted(pidx - params.keys()):
+            params[j] = F.random_nonspecial_rational(rng)
         try:
             matrix = [E.evaluate_exact(g.coeffs, coords, params) for g in L.generators]
         except E.DomainError:
@@ -42,14 +42,15 @@ def ref_find_generic_point(L, seed, param_values):
 
 
 def counting_draws(monkeypatch):
+    """Count the coordinates drawn."""
     count = [0]
-    real = F.random_rational
+    real = F.random_coordinate
 
     def draw(rng):
         count[0] += 1
         return real(rng)
 
-    monkeypatch.setattr(F, "random_rational", draw)
+    monkeypatch.setattr(F, "random_coordinate", draw)
     return count
 
 
@@ -82,11 +83,23 @@ class TestDraws:
         # the origin is refused somewhere, so a drawn candidate is tried too
         assert tried_beyond_origin
 
+    def test_a_pinned_parameter_costs_no_draw(self, monkeypatch):
+        def refuse(rng):
+            raise AssertionError("a pinned parameter was drawn")
+
+        monkeypatch.setattr(F, "random_nonspecial_rational", refuse)
+        pinned = [(L, pv) for L, pv in PINNED if pv]
+        assert len(pinned) == 43
+        for L, pv in pinned:
+            F.generic_rank(list(L.generators), param_values=pv)
+            F.generic_rank(list(L.generators), param_values=pv, copies=3)
+            A.find_generic_point(L, param_values=pv)
+
     @pytest.mark.parametrize("entry_id, seed, coords, params", [
-        ("thm37-8", 0, (0, 0, 0), {0: Fraction(9, 2)}),
-        ("thm37-8", 5, (0, 0, 0), {0: Fraction(14, 93)}),
-        ("ex90-62a", 1, (0, 0), {0: Fraction(15, 64)}),
-        ("ex89-58", 1, (0, 0, 0), {0: Fraction(-71, 68), 1: Fraction(4, 11)}),
+        ("thm37-8", 0, (0, 0, 0), {0: Fraction(-17, 5)}),
+        ("thm37-8", 5, (0, 0, 0), {0: Fraction(-27, 40)}),
+        ("ex90-62a", 1, (0, 0), {0: Fraction(-29, 61)}),
+        ("ex89-58", 1, (0, 0, 0), {0: Fraction(3, 40), 1: Fraction(-6, 5)}),
     ])
     def test_a_free_parameter_is_drawn_after_all_60_points(self, entry_id, seed, coords, params):
         L = CAT.entry_by_id(entry_id).presentation()
@@ -167,8 +180,26 @@ class TestConfigurations:
             if all(len(set(plain[axis::3])) == 4 for axis in range(3)):
                 assert F.sample_configuration(3, 4, random.Random(seed)) == plain
 
+    def test_a_repeat_is_raised_by_1_until_it_is_new(self):
+        def ref_configuration(dim, copies, rng):
+            seen = [set() for _ in range(dim)]
+            coords = []
+            for _ in range(copies):
+                for axis in seen:
+                    q = F.random_coordinate(rng)
+                    while q in axis:
+                        q += 1
+                    axis.add(q)
+                    coords.append(q)
+            return coords
+
+        for seed in range(4):
+            assert F.sample_configuration(2, 600, random.Random(seed)) == \
+                ref_configuration(2, 600, random.Random(seed))
+
     def test_more_points_than_values_in_the_span_still_ends(self):
-        # the span |num|, den <= 97 holds 11,607 distinct values
+        # the span -97..97 holds 195 integers; the first axis of 300 points
+        # and this one of 11,700 points both go past it
         coords = F.sample_configuration(1, 11_700, random.Random(0))
         assert len(set(coords)) == 11_700
 
