@@ -182,9 +182,10 @@ def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
     is new. So the loop ends for every number of points, and a configuration
     without repeats is sample_point(copies * dim, rng).
 
-    Each axis maps a taken value v to a value w > v with all of [v, w) taken;
-    the walk from a draw shortens that path, so many more points than the
-    195 values of the span cost no quadratic walk."""
+    Each axis maps a taken value v to a value w > v with all of [v, w) taken,
+    and a walk points every value it passed at the free value it found. So
+    many more points than the 195 values of the span cost no quadratic
+    walk."""
     axes = [{} for _ in range(dim)]
     coords = []
     for _ in range(copies):

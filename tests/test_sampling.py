@@ -198,8 +198,7 @@ class TestConfigurations:
                 ref_configuration(2, 600, random.Random(seed))
 
     def test_more_points_than_values_in_the_span_still_ends(self):
-        # the span -97..97 holds 195 integers; the first axis of 300 points
-        # and this one of 11,700 points both go past it
+        # the span -97..97 holds 195 integers
         coords = F.sample_configuration(1, 11_700, random.Random(0))
         assert len(set(coords)) == 11_700
 
