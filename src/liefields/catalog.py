@@ -526,7 +526,9 @@ def monodromy_generator(L: A.LieAlgebraPresentation, fix_points: Sequence[Sequen
 
 
 class _Context:
-    """An entry with its presentation and attached invariants, parsed once."""
+    """An entry with its presentation and attached invariants, parsed once,
+    and the facts derived from them once for the parameter sweep and the
+    boundary cases alike."""
 
     def __init__(self, entry: CatalogEntry):
         self.entry, self.L, self.invariants = entry, entry.presentation(), entry.parsed_invariants()
@@ -534,6 +536,11 @@ class _Context:
     @functools.cached_property
     def constants(self) -> A.StructureConstants:
         return A.check_closure(self.L)
+
+    @functools.cached_property
+    def annihilations(self) -> List[I.Annihilation]:
+        """One annihilation fact per attached invariant, over Q(params)."""
+        return [I.annihilation(self.L, J) for J in self.invariants]
 
 
 def _closure(ctx, pv, seed):
@@ -596,7 +603,7 @@ class Check(NamedTuple):
     expected: Callable            # entry -> the value it claims, None for no claim
     fn: Callable                  # (ctx, pv or None, seed) -> observed | (observed, diagnostics)
     once: bool = False            # holds identically in the parameters: one run per entry
-    label: Optional[str] = None   # one claim per attached invariant J: fn(J, ctx, pv, seed)
+    label: Optional[str] = None   # one claim per attached invariant i: fn(i, ctx, pv, seed)
 
 
 # The registry, in report order. The parameter sweep and the boundary cases
@@ -611,9 +618,10 @@ CHECKS = {
                                   A.joint_invariant_count(ctx.L, 2, seed=seed, param_values=pv)),
     "two_point_criterion": Check(attrgetter("expected.two_point_criterion"), lambda ctx, pv, seed:
                                  A.two_point_invariant_criterion(ctx.L, seed=seed, param_values=pv)),
-    "invariants": Check(lambda entry: I.Verdict.PROVEN.value, lambda J, ctx, pv, seed:
-                        I.verify_joint_invariant(ctx.L, J, mode="symbolic", seed=seed,
-                                                 param_values=pv).verdict.value,
+    "invariants": Check(lambda entry: I.Verdict.PROVEN.value, lambda i, ctx, pv, seed:
+                        I.verify_joint_invariant(ctx.L, ctx.invariants[i], mode="symbolic",
+                                                 seed=seed, param_values=pv,
+                                                 fact=ctx.annihilations[i]).verdict.value,
                         label="invariant_proven"),
     "essential_3pt": Check(attrgetter("expected.essential_3pt"), lambda ctx, pv, seed:
                            I.essential_invariant_check(ctx.L, 3, seed=seed, param_values=pv,
@@ -656,8 +664,8 @@ def verify_entry(entry: CatalogEntry, seed: int = 0,
         if check.label is None:
             run(name + tag, expected, lambda: check.fn(ctx, pv, seed))
         else:
-            for i, J in enumerate(ctx.invariants):
-                run(f"{check.label}[{i}]{tag}", expected, lambda: check.fn(J, ctx, pv, seed))
+            for i in range(len(ctx.invariants)):
+                run(f"{check.label}[{i}]{tag}", expected, lambda: check.fn(i, ctx, pv, seed))
 
     claimed = [(name, exp) for name in CHECKS
                if name in checks and (exp := CHECKS[name].expected(entry)) is not None]

@@ -197,6 +197,9 @@ def run(argv) -> int:
             CAT.CatalogError, M.UnsupportedDimension) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except E.NonPolynomialError as err:  # exact layers on a file they cannot read
+        print(f"error: {args.command} needs polynomial coefficients ({err})", file=sys.stderr)
+        return 2
     except (E.ExprError, I.DomainExhausted, FL.DivergenceSuspected,
             FL.NormalizationImpossible, A.NotTransitiveAtBase, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -227,8 +230,6 @@ def _dispatch(args, seed: int) -> int:
             print(f"NotClosed({err.j + 1},{err.k + 1}): residual "
                   f"{F.field_to_string(err.residual, af.vars, af.params)}")
             return 1
-        except E.NonPolynomialError as err:
-            raise UsageError(f"closure needs polynomial coefficients ({err})") from None
         for j in range(L.order):
             for k in range(j + 1, L.order):
                 terms = []

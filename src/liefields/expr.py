@@ -83,13 +83,14 @@ class Expr:
     (numerator, denominator). So the factor tuples (_V, i), (_P, j),
     (_F, kind, Expr) and (_Q, Expr) sort natively: first by tag, then by
     index, kind or argument. Every monomial lists its factors in that order,
-    and a canonical form's terms are sorted by _mkey."""
+    and a canonical form's terms are sorted by _mkey. The hash is taken at
+    first use: most intermediate expressions are never hashed."""
 
     __slots__ = ("terms", "_hash", "_skey")
 
     def __init__(self, terms):
         self.terms = terms
-        self._hash = hash(terms)
+        self._hash = None
         self._skey = None
 
     def skey(self):
@@ -98,6 +99,8 @@ class Expr:
         return self._skey
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(self.terms)
         return self._hash
 
     def __eq__(self, other):
@@ -297,7 +300,7 @@ def intpow(a: Expr, k: int) -> Expr:
     return result
 
 
-def _clearing_monomial(*exprs: Expr):
+def clearing_monomial(*exprs: Expr) -> tuple:
     """Smallest monomial clearing every negative exponent in the exprs."""
     need: dict = {}
     for e in exprs:
@@ -327,7 +330,7 @@ def divide_shared_nodes(exprs: Sequence[Expr]) -> list:
 def clear_denominators(*exprs: Expr) -> list:
     """The exprs, each multiplied by one common monomial: the smallest that
     clears every inverted or negative factor among them."""
-    mon = _clearing_monomial(*exprs)
+    mon = clearing_monomial(*exprs)
     if not mon:
         return list(exprs)
     return [mul(e, Expr(((mon, 1),))) for e in exprs]
@@ -346,7 +349,7 @@ def inverse(e: Expr) -> Expr:
             out = mul(out, intpow(base, ex))
         return out
     [numer] = clear_denominators(e)
-    denom_mon = _clearing_monomial(e)
+    denom_mon = clearing_monomial(e)
     if len(numer.terms) == 1:
         inv = inverse(numer)
         if denom_mon:
@@ -525,6 +528,25 @@ def _uses_params(mon, mapping) -> bool:
         elif tag == _Q and not used_params(factor[1]).isdisjoint(mapping):
             return True
     return False
+
+
+def monomial_nonzero_at(mon: tuple, mapping: Mapping[int, "Expr | Fraction | int"]) -> bool:
+    """Whether the monomial stays nonzero with the parameter values put in:
+    every parameter, inverted-block base and function node among its factors
+    does. Variables and unmapped parameters are nonzero symbols."""
+    for factor, _ex in mon:
+        tag = factor[0]
+        if tag == _P:
+            image = _coerce(mapping[factor[1]]) if factor[1] in mapping else ONE
+        elif tag == _F:
+            image = fn(factor[1], substitute_params(factor[2], mapping))
+        elif tag == _Q:
+            image = substitute_params(factor[1], mapping)
+        else:
+            continue
+        if image.is_zero:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -60,37 +60,82 @@ def _sample_in_domain(exprs: Sequence[E.Expr], nvars: int, rng: random.Random,
     raise DomainExhausted(f"no in-domain configuration found in {_SAMPLE_CAP} draws")
 
 
+@dataclass(frozen=True)
+class Annihilation:
+    """X_k^(s) J for every generator over Q(params), with one cleared
+    gradient: clearing is the monomial M that clears every partial of J at
+    once, images[k] = sum_i xi_{k,i} * (M d_i J) = M * X_k^(s)(J)."""
+    clearing: tuple
+    images: tuple
+
+
+def annihilation(L: A.LieAlgebraPresentation, J: InvariantCandidate) -> Annihilation:
+    """The annihilation fact of J, parameters kept symbolic: J is
+    differentiated once in its s*n variables and its blocks are expanded
+    once, not once per generator and parameter sample."""
+    gradient = [E.differentiate(J.body, i) for i in range(L.dim * J.s)]
+    cleared = E.clear_denominators(*gradient)
+    images = []
+    for g in L.generators:
+        X = F.prolong_points(g, J.s)
+        images.append(E.add_many(E.mul(xi, d) for xi, d in zip(X.coeffs, cleared)
+                                 if xi and d))
+    return Annihilation(E.clearing_monomial(*gradient), tuple(images))
+
+
+def _annihilates(fact: Annihilation, param_values):
+    """Per generator, in order: True when the fact proves that it annihilates
+    J at the parameter values, False when it leaves that open. Putting the
+    values in commutes with differentiation, so N_k(c0) = M(c0) R_k(c0) for
+    the residual R_k at c0; while M(c0) != 0, R_k(c0) = 0 iff N_k(c0) = 0."""
+    if param_values and not E.monomial_nonzero_at(fact.clearing, param_values):
+        return
+    for image in fact.images:
+        image = E.substitute_params(image, param_values) if param_values else image
+        yield E.clear_denominators(image)[0].is_zero
+
+
 def verify_joint_invariant(L: A.LieAlgebraPresentation, J: InvariantCandidate,
                            mode: str = "symbolic", seed: int = 0,
-                           param_values=None) -> VerificationOutcome:
+                           param_values=None, fact: Optional[Annihilation] = None
+                           ) -> VerificationOutcome:
     """Apply every point-prolonged generator to the candidate.
 
     Symbolic mode proves annihilation exactly (zero after clearing
-    denominators); surviving transcendental UNKNOWNs fall back to the numeric
+    denominators): first through the annihilation fact over Q(params),
+    built here unless a caller passes the one it holds, then, for each
+    generator the fact leaves open, through the residual at the parameter
+    values. Surviving transcendental UNKNOWNs fall back to the numeric
     check. Numeric mode demands |value| < 1e-8 at 32 random in-domain
     configurations."""
     if mode not in ("symbolic", "numeric"):
         raise ValueError("mode must be 'symbolic' or 'numeric'")
     body = E.substitute_params(J.body, param_values) if param_values else J.body
-    residuals = []
-    for g in L.generators:
-        g = F.prolong_points(F.substitute_params(g, param_values), J.s)
-        residuals.append(F.apply_to_function(g, body))
-    pending = []
+    generators = [F.substitute_params(g, param_values) for g in L.generators]
+    residuals = {}
+
+    def residual(k):
+        if k not in residuals:
+            residuals[k] = F.apply_to_function(F.prolong_points(generators[k], J.s), body)
+        return residuals[k]
+
     if mode == "symbolic":
-        for k, res in enumerate(residuals):
-            z = E.is_identically_zero(res, seed=seed)
+        proven = _annihilates(fact or annihilation(L, J), param_values)
+        pending = []
+        for k in range(len(generators)):
+            if next(proven, False):
+                continue
+            z = E.is_identically_zero(residual(k), seed=seed)
             if z is E.Zeroness.NO:
-                value = _witness_value(res, L.dim * J.s, seed, param_values)
-                return VerificationOutcome(Verdict.REFUTED, k, res, value)
+                value = _witness_value(residual(k), L.dim * J.s, seed, param_values)
+                return VerificationOutcome(Verdict.REFUTED, k, residual(k), value)
             if z is E.Zeroness.UNKNOWN:
                 pending.append(k)
         if not pending:
             return VerificationOutcome(Verdict.PROVEN)
-        check = [residuals[k] for k in pending]
     else:
-        pending = list(range(len(residuals)))
-        check = residuals
+        pending = list(range(len(generators)))
+    check = [residual(k) for k in pending]
     rng = random.Random(seed)
     pidx = set()
     for res in check:

@@ -109,19 +109,21 @@ def _integral(q) -> List[int]:
     return [int(c * scale) for c in q]
 
 
+def _scaled_value(q, num: int, den: int) -> int:
+    """den^deg q(num / den) for an integer q, by Horner in integers."""
+    value, power = q[0], 1
+    for c in q[1:]:
+        power *= den
+        value = value * num + c * power
+    return value
+
+
 def _sign_changes(seq, x: Fraction) -> int:
     """Sign changes along the integer sequence at x, zeros skipped. For a
     Sturm sequence, changes(a) - changes(b) is the number of distinct real
     roots in (a, b], for any a < b."""
-    num, den = x.numerator, x.denominator
-    signs = []
-    for q in seq:
-        value, power = q[0], 1   # den^deg q(x), by Horner in integers
-        for c in q[1:]:
-            power *= den
-            value = value * num + c * power
-        if value:
-            signs.append(value > 0)
+    values = [_scaled_value(q, x.numerator, x.denominator) for q in seq]
+    signs = [value > 0 for value in values if value]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
@@ -143,10 +145,12 @@ def rational_roots(p) -> List[Fraction]:
     Let a s, with a > 0, be the square-free part of p as an integer polynomial
     with leading coefficient a. A rational root has a denominator dividing a
     (rational root theorem), and two fractions with denominators up to a lie
-    at least 1/a^2 apart. So bisection by Sturm counts isolates the real
-    roots in intervals (lo, hi] of width below 1/(2 a^2); the fraction with
-    denominator up to a nearest hi is the interval's only rational
-    candidate, kept when it is a root."""
+    at least 1/a^2 apart. So once a point lies within 1/(2 a^2) of a real
+    root, the fraction with denominator up to a nearest it is the root's only
+    rational candidate, kept when it is a root. Bisection by Sturm counts
+    isolates each real root; Newton steps then approach it (_near_root), so
+    the number of steps grows with the log of the digits of a, not with the
+    digits."""
     seq = _sturm(p)
     s = seq[0]
     lead = s[0]
@@ -158,8 +162,8 @@ def rational_roots(p) -> List[Fraction]:
         lo, changes_lo, hi, changes_hi = stack.pop()
         if changes_lo == changes_hi:
             continue
-        if hi - lo < width:
-            candidate = hi.limit_denominator(lead)
+        if changes_lo - changes_hi == 1:
+            candidate = _near_root(seq, lo, changes_lo, hi, width).limit_denominator(lead)
             if _value(s, candidate) == 0:
                 roots.add(candidate)
             continue
@@ -167,6 +171,44 @@ def rational_roots(p) -> List[Fraction]:
         changes_mid = _sign_changes(seq, mid)
         stack += [(lo, changes_lo, mid, changes_mid), (mid, changes_mid, hi, changes_hi)]
     return sorted(roots)
+
+
+def _near_root(seq, lo: Fraction, changes_lo: int, hi: Fraction, width: Fraction) -> Fraction:
+    """A point within width of the one real root of the Sturm sequence seq
+    in (lo, hi]. The points tried are X / grid, on a dyadic grid finer than
+    width, so that the sizes of the numbers stay bounded. From each X a
+    Newton step, in integers, gives the next X while it stays inside and at
+    most halves the last step; else the next X is the midpoint (the
+    safeguard of Numerical Recipes' rtsafe). The Sturm count at X cuts the
+    interval there. A Newton step of at most 2 grid points instead puts a
+    box of half-width h = 2 / grid < width around its end: the counts at the
+    box ends find the root within h, or cut the box away. A root at hi, which
+    Newton steps from inside may overshoot, is tested first."""
+    s, ds = seq[0], derivative(seq[0])
+    if _scaled_value(s, hi.numerator, hi.denominator) == 0:
+        return hi
+    grid = 2 << (4 * width.denominator // width.numerator).bit_length()   # h <= width / 4
+    X, step = round((lo + hi) / 2 * grid), (hi - lo) * grid
+    while hi - lo >= width:
+        slope = _scaled_value(ds, X, grid)   # s / ds at X / grid is S / (slope * grid)
+        newton = X - _scaled_value(s, X, grid) // slope if slope else None
+        if newton is not None and abs(newton - X) <= 2:
+            left, right = max(lo, Fraction(newton - 2, grid)), min(hi, Fraction(newton + 2, grid))
+        else:
+            left = right = Fraction(X, grid)
+        changes_left = _sign_changes(seq, left) if left > lo else changes_lo
+        changes_right = _sign_changes(seq, right) if right != left else changes_left
+        if changes_lo != changes_left:      # the root is in (lo, left]
+            hi = left
+        elif changes_left != changes_right:  # in (left, right]: within h of newton
+            return Fraction(newton, grid)
+        else:
+            lo, changes_lo = right, changes_right
+        if newton is not None and lo < Fraction(newton, grid) < hi and 2 * abs(newton - X) <= step:
+            X, step = newton, abs(newton - X)
+        else:
+            X, step = round((lo + hi) / 2 * grid), (hi - lo) / 2 * grid
+    return hi
 
 
 def _value(p, x):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -158,6 +159,20 @@ class TestClosure:
         assert code == 2 and not out
         assert err == "error: closure needs polynomial coefficients (negative variable power)\n"
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["closure"], "function node involving variables"),
+        (["invariants", "--points", "2"], "exact evaluation of function node"),
+        (["invariants", "--points", "1"], "exact evaluation of function node"),
+        (["mobility"], "exact evaluation of function node"),
+    ])
+    def test_function_node_coefficients_exit_2(self, argv, reason, tmp_path, capsys):
+        # a valid file the exact layers cannot evaluate is a usage error, not a failed check
+        path = tmp_path / "fn.alg"
+        path.write_text("vars: x y\nfield: p\nfield: q\nfield: exp(x)*q\n")
+        code, out, err = run([argv[0], str(path), *argv[1:]], capsys)
+        assert code == 2 and not out
+        assert err == f"error: {argv[0]} needs polynomial coefficients ({reason})\n"
+
 
 class TestInvariantTags:
     """A malformed invariant tag is malformed input: exit 2, one line, with its line."""
@@ -294,6 +309,22 @@ class TestFlowAndMonodromy:
         assert out == ("None (numeric: at rest: every start in the domain moves less than "
                        "10*tol = 100 within t_max)\n")
         assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+    def test_monodromy_weights_of_hundreds_of_digits_within_budget(self, capsys):
+        # budget 1 s: the characteristic polynomial of ad X has coefficients
+        # of 800 digits, and its rational roots are found by Newton steps from
+        # isolating intervals; bisection down to 1/(2 lead^2) took about 20 s
+        began = time.perf_counter()
+        code, out, _ = run(["monodromy", str(ALGEBRAS / "ex87-51.alg"), "--param", "c=0",
+                            "--gen-combo", " 1 ,1,-1,-1,1e3,1e-400", "--from", "1e-400, 1 ,-1e-3",
+                            "--t-max", "1", "--steps", "1"], capsys)
+        elapsed = time.perf_counter() - began
+        n = 10**400 - 1
+        assert code == 0
+        assert out == (f"None (exact: ad X has real eigenvalues ±√{Fraction(n, 25 * 10**398)}, "
+                       f"charpoly λ²(λ⁴-({Fraction(n, 2 * 10**399)})λ²"
+                       f"+{Fraction(n * n, 25 * 10**798)}))\n")
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
 
     def test_monodromy_starts_leaving_the_domain(self, tmp_path, capsys):
         # (1 + x^2)*p runs off to infinity before t_max from every start

@@ -86,6 +86,145 @@ class TestVerifyJointInvariant:
             assert abs(after - before) < 1e-9
 
 
+def per_sample_verify(L, J, mode="symbolic", seed=0, param_values=None):
+    """The reference: verify_joint_invariant as it was before the annihilation
+    fact. Every residual is rebuilt from the specialised generators and J and
+    zero-tested for each sample of the parameters."""
+    body = E.substitute_params(J.body, param_values) if param_values else J.body
+    residuals = []
+    for g in L.generators:
+        g = F.prolong_points(F.substitute_params(g, param_values), J.s)
+        residuals.append(F.apply_to_function(g, body))
+    pending = []
+    if mode == "symbolic":
+        for k, res in enumerate(residuals):
+            z = E.is_identically_zero(res, seed=seed)
+            if z is E.Zeroness.NO:
+                value = I._witness_value(res, L.dim * J.s, seed, param_values)
+                return I.VerificationOutcome(I.Verdict.REFUTED, k, res, value)
+            if z is E.Zeroness.UNKNOWN:
+                pending.append(k)
+        if not pending:
+            return I.VerificationOutcome(I.Verdict.PROVEN)
+        check = [residuals[k] for k in pending]
+    else:
+        pending = list(range(len(residuals)))
+        check = residuals
+    rng = random.Random(seed)
+    pidx = set()
+    for res in check:
+        pidx |= E.used_params(res)
+    params = {j: float(F.random_nonspecial_rational(rng)) for j in pidx}
+    if param_values:
+        params.update({j: float(v) for j, v in param_values.items()})
+    for _ in range(I._NUM_CONFIGS):
+        coords, values = I._sample_in_domain(check, L.dim * J.s, rng, params)
+        for k, v in zip(pending, values):
+            if abs(v) >= I._NUM_TOL:
+                return I.VerificationOutcome(I.Verdict.REFUTED, k, residuals[k], v)
+    return I.VerificationOutcome(I.Verdict.NUMERICALLY_SUPPORTED)
+
+
+@pytest.fixture(scope="module")
+def spiral():
+    """ex90-62a: translations and a rotation with dilation, parameter c."""
+    return CAT.entry_by_id("ex90-62a")
+
+
+def both(L, J, seed=0, param_values=None):
+    """The outcome through the annihilation fact and through the reference."""
+    return (I.verify_joint_invariant(L, J, seed=seed, param_values=param_values),
+            per_sample_verify(L, J, seed=seed, param_values=param_values))
+
+
+class TestAnnihilationFact:
+    """verify_joint_invariant decides through one fact over Q(params) and
+    gives the per-sample reference's outcome, witness included."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2])
+    def test_catalog_matches_per_sample_reference(self, seed):
+        compared = 0
+        for entry in CAT.builtin_entries():
+            L, invariants = entry.presentation(), entry.parsed_invariants()
+            samples = [None] + entry.param_value_maps() + [
+                {entry.params.index(k): v for k, v in case.param_values.items()}
+                for case in entry.boundary]
+            for J in invariants:
+                fact = I.annihilation(L, J)
+                for pv in samples:
+                    pv = pv or None
+                    want = per_sample_verify(L, J, seed=seed, param_values=pv)
+                    got = I.verify_joint_invariant(L, J, seed=seed, param_values=pv, fact=fact)
+                    assert got == want, (entry.id, pv)
+                    compared += 1
+        assert compared >= 75   # every (entry, J, sample or boundary case)
+
+    def test_invariant_only_at_c_zero(self, spiral):
+        # J + c*x1: the fact's images vanish at c = 0 only
+        L = spiral.presentation()
+        [J] = spiral.parsed_invariants()
+        shifted = I.InvariantCandidate(2, E.add(J.body, E.mul(E.param(0), E.var(0))))
+        fact = I.annihilation(L, shifted)
+        assert all(I._annihilates(fact, {0: Fraction(0)}))
+        got, want = both(L, shifted, param_values={0: Fraction(0)})
+        assert got == want and got.verdict is I.Verdict.PROVEN
+        got, want = both(L, shifted, param_values={0: Fraction(1)})
+        assert got.verdict is I.Verdict.REFUTED and got.witness_generator == 0
+        assert got == want   # generator, residual and witness value
+
+    def test_vanishing_clearing_monomial_takes_the_residual_path(self, monkeypatch):
+        # d/dx sqrt(u) carries sqrt(u)^-1, so M holds sqrt(c*(x1 - x2)),
+        # which is 0 at c = 0: there the residuals decide, elsewhere the fact
+        L = pres("translations", ["p", "q"], vars=V2)
+        J = cand("sqrt(c*x1 - c*x2) + x2 - x1", vars=V2, params=("c",))
+        built = []
+        monkeypatch.setattr(F, "apply_to_function",
+                            lambda X, f, apply=F.apply_to_function: built.append(X) or apply(X, f))
+        for c, residuals in ((0, 2), (1, 0), (Fraction(-1, 2), 0)):
+            built.clear()
+            out = I.verify_joint_invariant(L, J, param_values={0: Fraction(c)})
+            assert len(built) == residuals, c
+            assert out == per_sample_verify(L, J, param_values={0: Fraction(c)})
+            assert out.verdict is I.Verdict.PROVEN
+
+    def test_parameter_factor_of_the_clearing_monomial(self):
+        # M holds c itself: at c = 0 the candidate is undefined and raises as
+        # the reference does; at c = 2 the fact refutes it like the reference
+        L = pres("translations", ["p", "q"], vars=V2)
+        J = cand("(x2 - x1)*c^-1 + c*y1", vars=V2, params=("c",))
+        with pytest.raises(ZeroDivisionError):
+            I.verify_joint_invariant(L, J, param_values={0: Fraction(0)})
+        with pytest.raises(ZeroDivisionError):
+            per_sample_verify(L, J, param_values={0: Fraction(0)})
+        got, want = both(L, J, param_values={0: Fraction(2)})
+        assert got == want and got.verdict is I.Verdict.REFUTED and got.witness_generator == 1
+
+    def test_transcendental_unknown_goes_numeric(self):
+        # J vanishes, but its residual is not 0 as a polynomial in its
+        # function nodes: the zero test says UNKNOWN and the numeric check decides
+        L = pres("line", ["p"], vars=["x"])
+        J = cand("sqrt((x1^2 + 1)*(x2^2 + 1)) - sqrt(x1^2 + 1)*sqrt(x2^2 + 1)", vars=["x"])
+        got, want = both(L, J)
+        assert got == want and got.verdict is I.Verdict.NUMERICALLY_SUPPORTED
+
+    @pytest.mark.parametrize("text", ["x2 - x1", "(x1-x2)^2 + (y1-y2)^2 + (z1-z2)^2 + z1",
+                                      "log((x1-x2)^2 + 1)*x1^-1"])
+    def test_refuted_witness_matches_reference(self, euclid, text):
+        for seed in (0, 3):
+            got, want = both(euclid, cand(text), seed=seed)
+            assert got == want and got.verdict is I.Verdict.REFUTED
+
+    def test_one_fact_per_attached_invariant(self, monkeypatch):
+        # whatever the number of parameter samples and boundary cases
+        built = []
+        monkeypatch.setattr(I, "annihilation",
+                            lambda L, J, make=I.annihilation: built.append(J) or make(L, J))
+        for entry in CAT.builtin_entries():
+            built.clear()
+            CAT.verify_entry(entry, seed=0)
+            assert built == entry.parsed_invariants(), entry.id
+
+
 TRANSITIVE_IDS = [e.id for e in CAT.builtin_entries() if e.expected.transitive]
 
 
