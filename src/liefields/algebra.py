@@ -4,8 +4,6 @@ joint invariant counting and the two-point determinant criterion."""
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,9 +80,9 @@ class IsotropyReport:
     reduced_basis: tuple      # translations + linear isotropy fields
 
 
-# The generic rank, the generic point, the isotropy and the joint-invariant
-# counts are computed once per process for each presentation, seed and
-# parameter values, in caches of this constant size. A key holds each
+# The generic rank with its witness point, the isotropy and the
+# joint-invariant counts are computed once per process for each
+# presentation, seed and parameter values, in caches of this constant size. A key holds each
 # parameter value with its type, so a float never shares an entry with an
 # equal Fraction and still raises TypeError in exact evaluation.
 _CACHE_SIZE = 256
@@ -180,46 +178,33 @@ def verify_structure(C: StructureConstants) -> bool:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _generic_rank(L: LieAlgebraPresentation, seed: int, values: tuple) -> int:
-    return F.generic_rank(list(L.generators), seed=seed, param_values=_values(values))
+def _generic_rank(L: LieAlgebraPresentation, seed: int, values: tuple) -> tuple:
+    """(rank, coords, params items): the sampled generic rank of the
+    generators and its witness point."""
+    rank, (coords, params) = F.generic_rank(list(L.generators), seed=seed,
+                                            param_values=_values(values))
+    return rank, coords, tuple(params.items())
 
 
 def is_transitive(L: LieAlgebraPresentation, seed: int = 0,
                   param_values=None) -> bool:
-    return _generic_rank(L, seed, _values_key(param_values)) == L.dim
+    return _generic_rank(L, seed, _values_key(param_values))[0] == L.dim
 
 
 def find_generic_point(L: LieAlgebraPresentation, seed: int = 0, param_values=None):
-    """(coords, params): an integer point, as a tuple, where the evaluation
-    matrix attains the generic rank, and a new dict of the parameter values
-    there.
+    """(coords, params): the witness of the generic rank that is_transitive
+    reads, an integer point as a tuple where the evaluation matrix attains
+    that rank, and a new dict of the parameter values there. No draw beyond
+    the rank's own.
 
-    The candidates are the origin, then up to 60 random points, each drawn
-    when it is tried. A parameter that param_values leaves free is drawn
-    anew for each candidate, after all 60 points; only then are the points
-    drawn up front."""
-    coords, params = _generic_point(L, seed, _values_key(param_values))
+    The origin is tried first, then the rank's random points (fields.
+    generic_rank). The origin matters where the group is transitive only on
+    an open set with several real regions: the Beltrami-Klein models ex90-62b
+    and thm37-4 are hyperbolic inside the unit ball, and outside it their
+    isotropy is Lorentzian, so free mobility read at (1, 97) or (1, 97, 10)
+    is False, and True at the origin."""
+    _, coords, params = _generic_rank(L, seed, _values_key(param_values))
     return coords, dict(params)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _generic_point(L: LieAlgebraPresentation, seed: int, values: tuple) -> tuple:
-    target = _generic_rank(L, seed, values)
-    rng = random.Random(seed ^ 0x5EED)
-    pidx = F.field_params(list(L.generators))
-    pinned = _values(values)
-    points = (F.sample_point(L.dim, rng) for _ in range(60))
-    if pidx - pinned.keys():
-        points = list(points)
-    for coords in itertools.chain([[0] * L.dim], points):
-        params = F.draw_free_params(pidx, pinned, rng)
-        try:
-            matrix = F.evaluate_exact_at(L.generators, coords, params)
-        except E.DomainError:
-            continue
-        if exactla.rank(matrix) == target:
-            return tuple(coords), tuple(params.items())
-    raise F.FieldError("no generic point found")
 
 
 def isotropy_at_point(L: LieAlgebraPresentation, base, param_values=None) -> IsotropyReport:
@@ -351,11 +336,12 @@ def joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int = 0,
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _joint_invariant_count(L: LieAlgebraPresentation, s: int, seed: int, values: tuple) -> int:
-    if s == 2 and _generic_rank(L, seed, values) == L.dim:
+    if s == 2 and _generic_rank(L, seed, values)[0] == L.dim:
         coords, params = find_generic_point(L, seed=seed, param_values=_values(values))
         report = isotropy_at_point(L, F.Point(coords), params)
         return L.dim - exactla.rank([X.coeffs for X in report.vanishing_fields], exactla.EXPR_OPS)
-    rank = F.generic_rank(list(L.generators), seed=seed, param_values=_values(values), copies=s)
+    rank, _ = F.generic_rank(list(L.generators), seed=seed, param_values=_values(values),
+                             copies=s)
     return s * L.dim - rank
 
 

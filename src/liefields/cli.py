@@ -92,6 +92,16 @@ def _parse_param_overrides(pairs, params):
     return values
 
 
+def _put_params(X, pv, af, what: str):
+    """X, a field or an expression, with the --param values put in. A value
+    at which X is undefined, such as c = 0 under c^-1, is malformed input."""
+    try:
+        return (F.substitute_params if isinstance(X, F.VectorField) else E.substitute_params)(X, pv)
+    except ZeroDivisionError:
+        values = ", ".join(f"{af.params[j]}={v}" for j, v in sorted(pv.items()))
+        raise UsageError(f"{what} is undefined at {values}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors print one line and exit 2."""
 
@@ -255,7 +265,10 @@ def _dispatch(args, seed: int) -> int:
 
     if args.command == "verify":
         names = F.point_var_names(af.vars, args.points)
-        body = E.parse_expression(args.invariant, names, af.params)
+        body = _put_params(E.parse_expression(args.invariant, names, af.params), pv, af,
+                           f"--invariant {args.invariant!r}")
+        generators = tuple(_put_params(g, pv, af, f"X{k + 1}") for k, g in enumerate(L.generators))
+        L = A.LieAlgebraPresentation(L.name, L.vars, L.params, generators)
         out = I.verify_joint_invariant(L, I.InvariantCandidate(args.points, body),
                                        mode=args.mode, seed=seed, param_values=pv or None)
         print(out.verdict.value)
@@ -268,7 +281,7 @@ def _dispatch(args, seed: int) -> int:
     if args.command == "flow":
         if not 1 <= args.gen <= L.order:
             raise UsageError(f"--gen must be in 1..{L.order}")
-        X = F.substitute_params(L.generators[args.gen - 1], pv)
+        X = _put_params(L.generators[args.gen - 1], pv, af, f"X{args.gen}")
         _require_instantiated(X, af)
         start = _parse_point(args.start)
         tracked = {}
@@ -294,7 +307,7 @@ def _dispatch(args, seed: int) -> int:
         if len(weights) != L.order:
             raise UsageError(
                 f"--gen-combo needs {L.order} coefficients, got {len(weights)}")
-        X = F.substitute_params(F.combination(weights, L.generators), pv)
+        X = _put_params(F.combination(weights, L.generators), pv, af, "--gen-combo")
         _require_instantiated(X, af)
         start = F.Point(_parse_point(args.start, "--from", L.dim))
         fix = [_parse_point(p, "--fix", L.dim) for p in args.fix]

@@ -113,12 +113,6 @@ def substitute_params(X: VectorField, values) -> VectorField:
     return VectorField(X.dim, tuple(E.substitute_params(c, values) for c in X.coeffs))
 
 
-def evaluate_at_point(X: VectorField, p) -> tuple:
-    p = _as_point(p)
-    params = {k: float(v) for k, v in p.params.items()}
-    return tuple(E.evaluate_numeric(c, [float(v) for v in p.coords], params) for c in X.coeffs)
-
-
 def evaluate_exact_at(fields: Sequence[VectorField], coords: Sequence[Fraction],
                       params=None) -> list:
     """The exact value of each field at coords, one row per field, from one
@@ -208,13 +202,18 @@ def sample_configuration(dim: int, copies: int, rng: random.Random) -> list:
 
 def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
                  param_values: Mapping[int, Fraction] | None = None,
-                 point_filter=None, copies: int = 1) -> int:
-    """Maximum exact rank of the coefficient matrix over `points` random
-    integer points (sample_configuration). A parameter that param_values
-    leaves free is drawn as a random non-special rational at each point; a
-    pinned one costs no draw. Deterministic for a given seed. The rank is
-    sampled: a point proves rank >= the value found, and only a value at
-    min(len(fields), copies * dim) is certified.
+                 copies: int = 1) -> tuple:
+    """(rank, witness): the maximum exact rank of the coefficient matrix over
+    sampled candidates, and the first candidate (coords, params) that reaches
+    it, coords a tuple and params a new dict of the parameter values there.
+
+    A single point (copies = 1) tries the origin first. The origin is not one
+    of the `points` random integer points (sample_configuration) drawn after
+    it, so it can only raise the sampled maximum. A parameter that
+    param_values leaves free is drawn as a random non-special rational for
+    each candidate; a pinned one costs no draw. Deterministic for a given
+    seed. The rank is sampled: the witness proves rank >= the value found,
+    and only a value at min(len(fields), copies * dim) is certified.
 
     With copies = s the fields are taken point-prolonged to s points: a
     configuration is s points of the base space, no two sharing a value on
@@ -229,28 +228,30 @@ def generic_rank(fields: Sequence[VectorField], seed: int = 0, points: int = 8,
     rng = random.Random(seed)
     pidx = field_params(fields)
     ceiling = min(len(fields), copies * dim)
-    best = 0
-    found = 0
-    attempts = 0
-    while found < points and attempts < 200 * points:
-        attempts += 1
-        coords = sample_configuration(dim, copies, rng)
-        if point_filter is not None and not point_filter(coords):
-            continue
+    best, witness = -1, None
+
+    def admissible(coords) -> bool:
+        nonlocal best, witness
         params = draw_free_params(pidx, param_values, rng)
         try:
             at_points = [evaluate_exact_at(fields, coords[b * dim:(b + 1) * dim], params)
                          for b in range(copies)]
         except E.DomainError:
-            continue
-        found += 1
-        matrix = [list(itertools.chain.from_iterable(rows)) for rows in zip(*at_points)]
-        best = max(best, exactla.rank(matrix))
-        if best == ceiling:
-            break
-    if found == 0:
+            return False
+        rank = exactla.rank([list(itertools.chain.from_iterable(rows)) for rows in zip(*at_points)])
+        if rank > best:
+            best, witness = rank, (tuple(coords), params)
+        return True
+
+    if copies == 1:
+        admissible([0] * dim)
+    found = attempts = 0
+    while best < ceiling and found < points and attempts < 200 * points:
+        attempts += 1
+        found += admissible(sample_configuration(dim, copies, rng))
+    if witness is None:
         raise FieldError("could not sample any admissible point")
-    return best
+    return best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,7 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
             log.append(f"dropped zero field #{i + 1}")
             continue
         # kept is independent over functions: its rank is len(kept)
-        if F.generic_rank(kept + [f], seed=seed, points=12) > len(kept):
+        if F.generic_rank(kept + [f], seed=seed, points=12)[0] > len(kept):
             kept.append(f)
         else:
             log.append(f"pruned function-dependent field #{i + 1}")
@@ -266,7 +266,7 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
                 B = F.bracket(kept[i], kept[j])
                 if _is_zero_field(B):
                     continue
-                if F.generic_rank(kept + [B], seed=seed, points=12) > len(kept):
+                if F.generic_rank(kept + [B], seed=seed, points=12)[0] > len(kept):
                     kept.append(B)
                     log.append(f"adjoined [#{i + 1}, #{j + 1}]")
                     changed = True
@@ -278,13 +278,13 @@ def complete_system_complete(fields_: Sequence[VectorField], seed: int = 0):
 
 def completion_certificate(fields_: Sequence[VectorField], seed: int = 0) -> bool:
     """Re-verify that all pairwise brackets lie in the function span."""
-    base_rank = F.generic_rank(fields_, seed=seed, points=12)
+    base_rank, _ = F.generic_rank(fields_, seed=seed, points=12)
     for i in range(len(fields_)):
         for j in range(i + 1, len(fields_)):
             B = F.bracket(fields_[i], fields_[j])
             if _is_zero_field(B):
                 continue
-            if F.generic_rank(list(fields_) + [B], seed=seed, points=12) > base_rank:
+            if F.generic_rank(list(fields_) + [B], seed=seed, points=12)[0] > base_rank:
                 return False
     return True
 

@@ -194,21 +194,6 @@ def infinitesimal_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
     return _isotropy_row_rank(report) < L.dim
 
 
-def infinitesimal_invariant_exists_by_prolongation(L: A.LieAlgebraPresentation,
-                                                   seed: int = 0, param_values=None) -> bool:
-    """Cross-check route: the differential-prolonged generators leave a common
-    invariant iff their generic rank at (x, x') with x' != 0 stays below 2n."""
-    n = L.dim
-    prolonged = [F.prolong_differentials(g) for g in L.generators]
-
-    def primed_nonzero(coords):
-        return any(coords[n + i] != 0 for i in range(n))
-
-    rank = F.generic_rank(prolonged, seed=seed, param_values=param_values,
-                          point_filter=primed_nonzero)
-    return rank < 2 * n
-
-
 def arc_length_invariant_exists(L: A.LieAlgebraPresentation, seed: int = 0,
                                 param_values=None) -> bool:
     """True iff an invariant of infinitely-near points exists and the identity

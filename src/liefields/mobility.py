@@ -410,12 +410,14 @@ def free_mobility_infinitesimal(L: A.LieAlgebraPresentation, base=None, seed: in
 
     n = 2: after fixing the point a motion must remain, no real line element
     may stay fixed under the whole linear isotropy, and the stabilizer of a
-    generic line element must be zero-dimensional.
+    generic line element must be zero-dimensional. Its dimension is decided
+    over Q(v), with no line element drawn.
 
     n = 3: additionally the stabilizer of a generic line element must be at
     least one-dimensional and rotate the surface elements through it (no real
     invariant plane), while fixing a generic surface element kills all motion.
-    Every condition is an exact rank computation on the linear isotropy."""
+    Every condition is an exact rank computation on the linear isotropy, in
+    3-D at up to four random rational line elements."""
     n = L.dim
     if n not in (2, 3):
         raise UnsupportedDimension(f"free mobility needs 2 or 3 variables, got {n}")
@@ -429,21 +431,20 @@ def free_mobility_infinitesimal(L: A.LieAlgebraPresentation, base=None, seed: in
     mats = _constant_matrices(A.linear_isotropy_group(L, F.Point(coords), params))
     if not mats:
         return MobilityVerdict(False, "point: no motion remains after fixing the point")
-    rng = random.Random(seed)
     if n == 2:
         fixed = _common_fixed_direction_2d(mats)
         if fixed is not None:
             return MobilityVerdict(False, "line-element: a real direction stays fixed", tuple(fixed))
-        for _ in range(4):
-            v = [F.random_rational(rng) for _ in range(2)]
-            if all(x == 0 for x in v):
-                continue
-            # coefficient of lambda_k in det[J(lambda) v, v]
-            rows = [[_det2_prop(J, v) for J in mats]]
-            if _stabilizer_dim(mats, rows) != 0:
-                return MobilityVerdict(False, "line-element: motion survives fixing a generic line element", tuple(v))
+        # No direction stays fixed, so some q_k(v) = det[J_k v, v] is a nonzero
+        # form: the lambda with sum_k lambda_k q_k(v) = 0 over Q(v), the
+        # stabilizer of a generic line element, have dimension m - 1. A nonzero
+        # binary quadratic form is nonzero at one of the three elements below.
+        if len(mats) > 1:
+            v = next(v for v in ((1, 0), (0, 1), (1, 1)) if any(_det2_prop(J, v) for J in mats))
+            return MobilityVerdict(False, "line-element: motion survives fixing a generic line element", v)
         return MobilityVerdict(True)
     # n == 3
+    rng = random.Random(seed)
     fixed = _common_fixed_direction_3d(mats, rng)
     if fixed is not None:
         return MobilityVerdict(False, "line-element: a real direction stays fixed", tuple(fixed))

@@ -291,7 +291,7 @@ class TestIsotropy:
         assert len(rep.vanishing_fields) == 3
         assert F.span_equal(rep.vanishing_fields, expected)
         for X in rep.vanishing_fields:
-            assert F.evaluate_at_point(X, [0, 0, 0]) == (0.0, 0.0, 0.0)
+            assert F.evaluate_exact_at([X], [0, 0, 0]) == [[0, 0, 0]]
 
     def test_euclid_rotations(self, euclid):
         rep = A.isotropy_at_point(euclid, F.Point((0, 0, 0)))
@@ -398,7 +398,7 @@ class TestJointInvariantCount:
         assert A.joint_invariant_count(euclid, 1) == 0
         line = pres("line", ["q", "x*q", "x^2*q"])
         assert A.joint_invariant_count(line, 1) == 3 - F.generic_rank(
-            list(line.generators), seed=0)
+            list(line.generators), seed=0)[0]
 
     def test_monotone_in_s(self, euclid):
         counts = [A.joint_invariant_count(euclid, s) for s in (1, 2, 3)]
@@ -427,7 +427,7 @@ def ref_joint_invariant_count(L, s, seed, param_values, monkeypatch):
     real = F.sample_configuration
     with monkeypatch.context() as m:
         m.setattr(F, "sample_configuration", lambda dim, copies, rng: real(n, s, rng))
-        return s * n - F.generic_rank(prolonged, seed=seed, param_values=param_values)
+        return s * n - F.generic_rank(prolonged, seed=seed, param_values=param_values)[0]
 
 
 class TestPerPointCount:
@@ -472,7 +472,7 @@ def sampled_pair_count(L, seed, param_values):
     """Reference: the sampled two-point count, 2*dim minus the largest rank of
     the generators at up to 8 configurations of two points."""
     return 2 * L.dim - F.generic_rank(list(L.generators), seed=seed,
-                                      param_values=param_values, copies=2)
+                                      param_values=param_values, copies=2)[0]
 
 
 class TestPairCountFromIsotropy:
@@ -506,7 +506,7 @@ class TestPairCountFromIsotropy:
 
         L = CAT.entry_by_id("thm37-1").presentation()
         monkeypatch.setattr(F, "sample_configuration", same_point_twice)
-        assert 2 * L.dim - F.generic_rank(list(L.generators), copies=2) == L.dim
+        assert 2 * L.dim - F.generic_rank(list(L.generators), copies=2)[0] == L.dim
         assert A.joint_invariant_count(L, 2) == 1
 
     def test_the_isotropy_is_shared_with_the_criterion(self):

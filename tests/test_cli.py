@@ -407,6 +407,11 @@ class TestUsageErrors:
          "error: --param c must be a rational number, got '1/0'\n"),
         (["invariants", "{p}", "--param", "c=abc"],
          "error: --param c must be a rational number, got 'abc'\n"),
+        (["verify", "{p}", "--invariant", "x1*c^-1", "--param", "c=0"],
+         "error: --invariant 'x1*c^-1' is undefined at c=0\n"),
+        (["flow", "{d}/inverse-param.alg", "--gen", "3", "--from", "1,1", "--t", "1",
+          "--param", "c=0"],
+         "error: X3 is undefined at c=0\n"),
         (["flow", "{f}", "--gen", "1", "--from", "1,1/0,0", "--t", "1"],
          "error: --from must be a rational number, got '1/0'\n"),
         (["flow", "{f}", "--gen", "1", "--from", "1,x,0", "--t", "1"],
@@ -473,7 +478,8 @@ class TestUsageErrors:
          "error: line 6: expect 'pair_invariant_count' is given twice\n"),
     ], ids=["flow-steps-0", "monodromy-steps-0", "invariants-points-0",
             "invariants-points-negative", "verify-points-0", "invariants-points-not-int",
-            "param-zero-denominator", "param-not-a-number", "from-zero-denominator",
+            "param-zero-denominator", "param-not-a-number", "invariant-undefined-at-param",
+            "generator-undefined-at-param", "from-zero-denominator",
             "from-not-a-number", "gen-combo-zero-denominator", "gen-combo-not-a-number",
             "file-missing", "file-is-directory", "file-not-utf8", "csv-unwritable",
             "t-nan", "t-infinite", "t-not-a-number", "t-max-negative", "t-max-nan",
@@ -486,6 +492,8 @@ class TestUsageErrors:
         planar = "field: p\nfield: q\nfield: -y*p + x*q\n"
         (tmp_path / "two-vars.alg").write_text("vars: x y z\nvars: x y\n" + planar)
         (tmp_path / "two-params.alg").write_text("vars: x y\nparams: c\nparams: d\n" + planar)
+        (tmp_path / "inverse-param.alg").write_text("vars: x y\nparams: c\nfield: p\nfield: q\n"
+                                                    "field: c^-1*x*q\n")
         (tmp_path / "expect-word.alg").write_text(
             "vars: x y\n" + planar + "expect: pair_invariant_count=one\n")
         (tmp_path / "expect-twice.alg").write_text(

@@ -522,9 +522,9 @@ class TestFloatInputs:
         for values, value in calls:
             assert all(type(v) is float for v in values) and type(value) is float
 
-    def test_evaluate_at_point(self, seen):
+    def test_field_coefficients_at_a_point(self, seen):
         X = F.parse_field("x*y*p - c*q", V2, ["c"])
-        assert F.evaluate_at_point(X, F.Point((2, 3), {0: Fraction(1)})) == (6.0, -1.0)
+        assert [E.evaluate_numeric(c, [2.0, 3.0], {0: 1.0}) for c in X.coeffs] == [6.0, -1.0]
 
     def test_zero_test_samples(self, seen):
         assert E.is_identically_zero(parse("x*exp(y)")) is E.Zeroness.NO

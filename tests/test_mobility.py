@@ -168,6 +168,23 @@ class TestFreeMobility:
         verdict = M.free_mobility_infinitesimal(aff)
         assert verdict.free_mobility is False
 
+    def test_planar_line_elements_are_not_drawn(self, monkeypatch):
+        from liefields import catalog as CAT, fields as F
+
+        def refuse(rng):
+            raise AssertionError("a line element was drawn")
+
+        monkeypatch.setattr(F, "random_rational", refuse)
+        for eid in ("ex90-60b", "ex90-62a", "ex90-62b"):
+            entry = CAT.entry_by_id(eid)
+            for pv in entry.param_value_maps():
+                verdict = M.free_mobility_infinitesimal(entry.presentation(), param_values=pv or None)
+                assert verdict == M.MobilityVerdict(True), (eid, pv)
+        aff = pres("aff", ["p", "q", "x*p", "x*q", "y*p", "y*q"], vars=V2)
+        # q_k(v) = det[J_k v, v]: x*q gives -v0^2, so the first element (1, 0) witnesses
+        assert M.free_mobility_infinitesimal(aff) == M.MobilityVerdict(
+            False, "line-element: motion survives fixing a generic line element", (1, 0))
+
     def test_curvature_groups_true_entries_8_to_11_false(self):
         from liefields import catalog as CAT
         for eid, expected in [("thm37-1", True), ("thm37-3", True), ("thm37-4", True),

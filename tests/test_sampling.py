@@ -1,19 +1,21 @@
-"""Sampling work done once: candidate points drawn only when tried, the generic
-results cached per presentation, seed and parameter values, and point
-configurations with distinct values on every axis."""
+"""Sampling work done once: the generic point is the witness of the generic
+rank, candidate points are drawn only when tried, the generic results are
+cached per presentation, seed and parameter values, and point configurations
+have distinct values on every axis."""
 
 import dataclasses
+import itertools
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from liefields import algebra as A, catalog as CAT, cli, exactla, expr as E
-from liefields import fields as F
+from liefields import algebra as A, algfile, catalog as CAT, cli, exactla, expr as E
+from liefields import fields as F, mobility as M
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "data" / "algebras"
-CACHED = (A._generic_rank, A._generic_point, A._isotropy, A._joint_invariant_count)
+CACHED = (A._generic_rank, A._isotropy, A._joint_invariant_count)
 
 
 def clear_caches():
@@ -22,13 +24,16 @@ def clear_caches():
 
 
 def ref_find_generic_point(L, seed, param_values):
-    """find_generic_point drawing all 60 candidate points up front; also
-    returns the index of the accepted candidate (0 is the origin)."""
-    target = F.generic_rank(list(L.generators), seed=seed, param_values=param_values)
-    rng = random.Random(seed ^ 0x5EED)
+    """The witness rule, drawing every candidate: the origin, then the
+    rank's own Random(seed) points until 8 of them are admissible, each with
+    the free parameters drawn after its coordinates; the first candidate
+    that reaches the maximum rank. Also returns its index (0 is the
+    origin)."""
+    rng = random.Random(seed)
     pidx = F.field_params(list(L.generators))
-    candidates = [[0] * L.dim] + [F.sample_point(L.dim, rng) for _ in range(60)]
-    for k, coords in enumerate(candidates):
+    tried = []
+    for k in itertools.count():
+        coords = tuple(F.sample_point(L.dim, rng)) if k else (0,) * L.dim
         params = dict(param_values or {})
         for j in sorted(pidx - params.keys()):
             params[j] = F.random_nonspecial_rational(rng)
@@ -36,21 +41,23 @@ def ref_find_generic_point(L, seed, param_values):
             matrix = [E.evaluate_exact(g.coeffs, coords, params) for g in L.generators]
         except E.DomainError:
             continue
-        if exactla.rank(matrix) == target:
-            return tuple(coords), params, k
-    raise F.FieldError("no generic point found")
+        tried.append((exactla.rank(matrix), coords, params, k))
+        if sum(k > 0 for *_, k in tried) == 8:
+            break
+    best = max(rank for rank, *_ in tried)
+    return next((coords, params, k) for rank, coords, params, k in tried if rank == best)
 
 
-def counting_draws(monkeypatch):
-    """Count the coordinates drawn."""
+def counting_draws(monkeypatch, name="random_coordinate"):
+    """Count the draws of F.<name>, coordinates by default."""
     count = [0]
-    real = F.random_coordinate
+    real = getattr(F, name)
 
     def draw(rng):
         count[0] += 1
         return real(rng)
 
-    monkeypatch.setattr(F, "random_coordinate", draw)
+    monkeypatch.setattr(F, name, draw)
     return count
 
 
@@ -69,19 +76,58 @@ PINNED = [(entry.presentation(), pv) for entry in sorted(CAT.builtin_entries(), 
 
 class TestDraws:
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_pinned_parameters_draw_only_the_candidates_tried(self, seed, monkeypatch):
-        tried_beyond_origin = 0
+    def test_the_generic_point_is_the_first_candidate_at_the_maximum(self, seed):
+        beyond_origin = set()
         for L, pv in PINNED:
             want_coords, want_params, k = ref_find_generic_point(L, seed, pv or None)
-            A.is_transitive(L, seed=seed, param_values=pv or None)  # the rank, drawn apart
+            assert A.find_generic_point(L, seed=seed, param_values=pv or None) == (
+                want_coords, want_params), (L.name, pv)
+            if k:
+                beyond_origin.add(L.name)
+        # the origin is refused somewhere, so a drawn witness is compared too
+        assert beyond_origin >= {"ex90-60c", "ex95-30-5", "ex95-30-6"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_a_free_parameter_is_drawn_with_its_candidate(self, seed):
+        for fixture in sorted(MOBILITY_WITHOUT_PARAM):
+            L = algfile.load_algebra_file(FIXTURES / f"{fixture}.alg").presentation()
+            assert A.find_generic_point(L, seed=seed) == ref_find_generic_point(L, seed, None)[:2]
+
+    def test_the_generic_point_after_the_rank_draws_nothing(self, monkeypatch):
+        for L, pv in PINNED:
+            A.is_transitive(L, param_values=pv or None)
+            with monkeypatch.context() as m:
+                coordinates = counting_draws(m)
+                parameters = counting_draws(m, "random_nonspecial_rational")
+                A.find_generic_point(L, param_values=pv or None)
+            assert coordinates[0] == parameters[0] == 0, (L.name, pv)
+
+    def test_a_generic_origin_costs_no_coordinate(self, monkeypatch):
+        samples = 0
+        for L, pv in PINNED:
+            if exactla.rank(F.evaluate_exact_at(L.generators, (0,) * L.dim, pv)) < L.dim:
+                continue
             with monkeypatch.context() as m:
                 count = counting_draws(m)
-                coords, params = A.find_generic_point(L, seed=seed, param_values=pv or None)
-            assert (coords, params) == (want_coords, want_params), (L.name, pv)
-            assert count[0] == L.dim * k, (L.name, pv)
-            tried_beyond_origin += k > 0
-        # the origin is refused somewhere, so a drawn candidate is tried too
-        assert tried_beyond_origin
+                assert A.is_transitive(L, param_values=pv or None)
+            assert count[0] == 0, (L.name, pv)
+            assert A.find_generic_point(L, param_values=pv or None)[0] == (0,) * L.dim
+            samples += 1
+        assert samples == 54
+
+    @pytest.mark.parametrize("entry_id, outside", [("ex90-62b", (1, 97)), ("thm37-4", (1, 97, 10))])
+    def test_free_mobility_is_read_at_the_origin(self, entry_id, outside):
+        # Beltrami-Klein models: hyperbolic inside the unit ball, Lorentzian
+        # isotropy outside it, where the first random point lies
+        L = CAT.entry_by_id(entry_id).presentation()
+        for seed in (0, 7, 2):
+            assert A.find_generic_point(L, seed=seed) == ((0,) * L.dim, {})
+            assert M.free_mobility_infinitesimal(L, seed=seed).free_mobility is True
+        stage = {"ex90-62b": "line-element: a real direction stays fixed",
+                 "thm37-4": "surface-element: a surface element through a generic line "
+                            "element stays fixed"}[entry_id]
+        verdict = M.free_mobility_infinitesimal(L, base=outside)
+        assert (verdict.free_mobility, verdict.failing_stage) == (False, stage)
 
     def test_a_pinned_parameter_costs_no_draw(self, monkeypatch):
         def refuse(rng):
@@ -94,17 +140,6 @@ class TestDraws:
             F.generic_rank(list(L.generators), param_values=pv)
             F.generic_rank(list(L.generators), param_values=pv, copies=3)
             A.find_generic_point(L, param_values=pv)
-
-    @pytest.mark.parametrize("entry_id, seed, coords, params", [
-        ("thm37-8", 0, (0, 0, 0), {0: Fraction(-17, 5)}),
-        ("thm37-8", 5, (0, 0, 0), {0: Fraction(-27, 40)}),
-        ("ex90-62a", 1, (0, 0), {0: Fraction(-29, 61)}),
-        ("ex89-58", 1, (0, 0, 0), {0: Fraction(3, 40), 1: Fraction(-6, 5)}),
-    ])
-    def test_a_free_parameter_is_drawn_after_all_60_points(self, entry_id, seed, coords, params):
-        L = CAT.entry_by_id(entry_id).presentation()
-        assert A.find_generic_point(L, seed=seed) == (coords, params)
-        assert ref_find_generic_point(L, seed, None)[:2] == (coords, params)
 
     @pytest.mark.parametrize("fixture", sorted(MOBILITY_WITHOUT_PARAM))
     def test_mobility_without_param_of_a_parametrised_fixture(self, fixture, capsys):
